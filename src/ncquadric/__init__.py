@@ -25,29 +25,25 @@ from .presentation import ParsedInput, parse_file, parse_source
 from .quadratic import (QuadraticPresentation, is_regular_deg2,
                         koszul_numeric_check, linear_string,
                         quantum_polynomial_certificate, tensor2_string)
-from .tensors import (ideal_component, koszul_space, koszul_transition,
-                      place, subspace_tensor, tensor_with_generators)
+from .tensors import koszul_space, koszul_transition
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AdditivityViolated", "AlgebraError", "AmbientMismatch",
     "ContainmentViolated", "DivisionByZero", "Field", "FieldElement",
-    "FieldMismatch", "FiniteDimAlgebra", "GradedModule",
-    "HypersurfaceContext", "IdempotentSet", "Matrix", "ModulePresentation",
-    "NonSplit", "NoStableCentral", "NotCentral", "NotIsolated",
-    "NotRegularCertificate", "NotSemisimple", "ParseError", "ParsedInput",
-    "PipelineReport", "Polynomial", "QuadraticPresentation",
-    "RelationDependence", "RootSearch", "SmallRng", "StageReport",
-    "Subspace", "UnsupportedDimension", "build_context", "classify_mcm",
-    "dimension_identities", "end_algebra", "free_module", "hom_graded",
-    "hom_space", "ideal_component", "identify_cyclic_quotient",
+    "FieldMismatch", "FiniteDimAlgebra", "GradedModule", "HypersurfaceContext",
+    "IdempotentSet", "Matrix", "ModulePresentation", "NonSplit",
+    "NoStableCentral", "NotCentral", "NotIsolated", "NotRegularCertificate",
+    "NotSemisimple", "ParseError", "ParsedInput", "PipelineReport",
+    "Polynomial", "QuadraticPresentation", "RelationDependence", "RootSearch",
+    "SmallRng", "StageReport", "Subspace", "UnsupportedDimension",
+    "build_context", "classify_mcm", "dimension_identities", "end_algebra",
+    "free_module", "hom_graded", "hom_space", "identify_cyclic_quotient",
     "idempotent_summand", "is_regular_deg2", "koszul_component",
     "koszul_numeric_check", "koszul_space", "koszul_transition",
     "linear_string", "module_graded_dim", "parse_field_spec", "parse_file",
-    "parse_source", "place", "preresolution_table",
-    "quantum_polynomial_certificate", "roots_in_field", "run_pipeline",
-    "STAGES",
-    "stable_dual_algebra", "subspace_tensor", "syzygy_presentation",
-    "syzygy_shift_evidence", "tensor2_string", "tensor_with_generators",
+    "parse_source", "preresolution_table", "quantum_polynomial_certificate",
+    "roots_in_field", "run_pipeline", "STAGES", "stable_dual_algebra",
+    "syzygy_presentation", "syzygy_shift_evidence", "tensor2_string",
 ]

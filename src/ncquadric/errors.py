@@ -49,13 +49,16 @@ class NonSplit(AlgebraError):
     """Idempotent extraction hit a min-poly that does not split over the field.
 
     Carries the offending polynomial factor and whatever partial central
-    decomposition was certified before the failure.
+    decomposition was certified before the failure.  ``decided`` is False
+    when the root search could not certify that the factor has no further
+    roots, so the factor may still split.
     """
 
-    def __init__(self, message, factor=None, partial=()):
+    def __init__(self, message, factor=None, partial=(), decided=True):
         super().__init__(message)
         self.factor = factor
         self.partial = tuple(partial)
+        self.decided = decided
 
 
 class NotIsolated(AlgebraError):

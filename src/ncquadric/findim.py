@@ -319,9 +319,15 @@ class FiniteDimAlgebra:
                 factor = factor // Polynomial(self.field,
                                               [-lam, self.field.one])
             partial = tuple(partial_rest) + tuple(pieces) + (residual,)
-            raise NonSplit(
-                "central characteristic factor does not split over "
-                f"{self.field.describe()}", factor=factor, partial=partial)
+            if search.complete:
+                message = ("central characteristic factor does not split "
+                           f"over {self.field.describe()}")
+            else:
+                message = (f"splitting of the central characteristic factor "
+                           f"{factor} over {self.field.describe()} is "
+                           "undecided: the root search is incomplete")
+            raise NonSplit(message, factor=factor, partial=partial,
+                           decided=search.complete)
         return pieces
 
     def primitive_idempotents(self, seed=0):

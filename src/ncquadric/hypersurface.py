@@ -20,7 +20,7 @@ from .findim import FiniteDimAlgebra
 from .linalg import Matrix, Subspace
 from .modules import ModulePresentation
 from .quadratic import QuadraticPresentation, is_regular_deg2
-from .tensors import koszul_space, koszul_transition
+from .tensors import KOSZUL_DUAL, koszul_space, koszul_transition
 
 
 class HypersurfaceContext:
@@ -34,7 +34,7 @@ class HypersurfaceContext:
         self.gorenstein_parameter = self.d - 1
         self.regularity = regularity
         self.bound = bound
-        self.koszul_cache = {}
+        self._koszul_cache = None
         self._quotient_dual = None
         self._ambient_dual = None
 
@@ -43,6 +43,13 @@ class HypersurfaceContext:
         if self._quotient_dual is None:
             self._quotient_dual = self.quotient.quadratic_dual()
         return self._quotient_dual
+
+    @property
+    def koszul_cache(self):
+        """C_n by degree, read off the quotient dual it is seeded with."""
+        if self._koszul_cache is None:
+            self._koszul_cache = {KOSZUL_DUAL: self.quotient_dual}
+        return self._koszul_cache
 
     @property
     def ambient_dual(self):

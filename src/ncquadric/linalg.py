@@ -16,7 +16,7 @@ from .fields import FieldElement
 
 def _coerce_entry(field, value):
     if isinstance(value, FieldElement):
-        if value.field != field:
+        if value.field is not field and value.field != field:
             raise FieldMismatch("matrix entry from a different field")
         return value
     return field.from_rational(Fraction(value))
@@ -39,11 +39,6 @@ class Matrix:
         self.nrows = len(rows)
         self.ncols = ncols
         self._rref = None
-
-    @classmethod
-    def zeros(cls, field, nrows, ncols):
-        z = field.zero
-        return cls(field, [[z] * ncols for _ in range(nrows)], ncols=ncols)
 
     @classmethod
     def identity(cls, field, n):
@@ -158,16 +153,15 @@ class Matrix:
             rows[pr], rows[hit] = rows[hit], rows[pr]
             prow = rows[pr]
             inv = prow[c].inverse()
-            for j in range(c, self.ncols):
-                if prow[j]:
-                    prow[j] = prow[j] * inv
+            support = [j for j in range(c, self.ncols) if prow[j]]
+            for j in support:
+                prow[j] = prow[j] * inv
             for r in range(len(rows)):
                 if r != pr and rows[r][c]:
                     f = rows[r][c]
                     rr = rows[r]
-                    for j in range(c, self.ncols):
-                        if prow[j]:
-                            rr[j] = rr[j] - f * prow[j]
+                    for j in support:
+                        rr[j] = rr[j] - f * prow[j]
             pivots.append(c)
             pr += 1
         result = (Matrix(self.field, rows, ncols=self.ncols), tuple(pivots))
@@ -222,20 +216,8 @@ class Matrix:
             raise ValueError("matrix is not invertible")
         return Matrix(self.field, [r[n:] for r in R.rows[:n]], ncols=n)
 
-    def is_zero(self):
-        return all(not x for r in self.rows for x in r)
-
     def __repr__(self):
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.describe()})"
-
-    def pretty(self):
-        cells = [[str(x) for x in r] for r in self.rows]
-        widths = [max((len(cells[i][j]) for i in range(self.nrows)), default=1)
-                  for j in range(self.ncols)]
-        lines = []
-        for r in cells:
-            lines.append("[ " + "  ".join(s.rjust(w) for s, w in zip(r, widths)) + " ]")
-        return "\n".join(lines)
 
 
 class Subspace:

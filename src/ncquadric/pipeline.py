@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import (AdditivityViolated, AlgebraError, NonSplit,
-                     NoStableCentral, NotCentral, NotRegularCertificate,
-                     RelationDependence, UnsupportedDimension)
+from .errors import (AlgebraError, ContainmentViolated, NonSplit,
+                     NoStableCentral)
 from .hypersurface import (build_context, dimension_identities, end_algebra,
                            koszul_component, stable_dual_algebra,
                            syzygy_presentation)
@@ -26,6 +25,7 @@ from .modules import (GradedModule, classify_mcm, preresolution_table,
 from .quadratic import (QuadraticPresentation, is_regular_deg2,
                         koszul_numeric_check, linear_string,
                         quantum_polynomial_certificate, tensor2_string)
+from .tensors import check_koszul_nesting
 
 STAGES = ("qp-certificate", "centrality", "regularity", "build-quotient",
           "dual-hilbert", "koszul-spaces", "end-algebra", "verdict",
@@ -131,9 +131,24 @@ def _matrix_rows(mat):
 
 def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
                  stop_after=None, input_label="<input>"):
-    """Run all stages on a ParsedInput and return the report."""
+    """Run all stages on a ParsedInput and return the report.
+
+    An AlgebraError raised inside a stage fails that stage with the error's
+    message, and the stages after it do not run.
+    """
     report = PipelineReport(input_label, parsed.field.describe(),
                             tuple(parsed.generators), degree, seed, [])
+    try:
+        _run_stages(report, parsed, degree, seed, skip_qp_check, stop_after)
+    except AlgebraError as exc:
+        # every stage reports exactly once, in order, so the one that raised
+        # is the first without a report
+        report.stages.append(
+            StageReport(STAGES[len(report.stages)], "failed", str(exc)))
+    return report
+
+
+def _run_stages(report, parsed, degree, seed, skip_qp_check, stop_after):
     names = tuple(parsed.generators)
 
     def add(name, status, message="", **data):
@@ -141,12 +156,8 @@ def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
         return status != "failed" and name != stop_after
 
     # qp-certificate ---------------------------------------------------------
-    try:
-        ambient = QuadraticPresentation(
-            parsed.field, names, [row for _, row in parsed.relation_rows])
-    except RelationDependence as exc:
-        add("qp-certificate", "failed", str(exc))
-        return report
+    ambient = QuadraticPresentation(
+        parsed.field, names, [row for _, row in parsed.relation_rows])
     cert = quantum_polynomial_certificate(ambient, degree)
     status = "ok"
     message = ""
@@ -168,7 +179,7 @@ def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
                   "expected dual hilbert": list(cert.expected_dual_hilbert),
                   "series product coefficients":
                       list(cert.numeric.coefficients)}):
-        return report
+        return
 
     # centrality -------------------------------------------------------------
     central_str = tensor2_string(names, parsed.central_row)
@@ -179,7 +190,7 @@ def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
                  "candidate fails the degree-3 commutation test",
                  **{"central element": central_str})
     if not ok:
-        return report
+        return
 
     # regularity -------------------------------------------------------------
     reg = is_regular_deg2(ambient, parsed.central_row, degree)
@@ -192,22 +203,17 @@ def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
         ok = add("regularity", "failed",
                  f"rank drops at degree {reg.first_failure}", **data)
     if not ok:
-        return report
+        return
 
     # build-quotient ---------------------------------------------------------
-    try:
-        ctx = build_context(ambient, parsed.central_row, bound=degree)
-    except (UnsupportedDimension, RelationDependence, NotCentral,
-            NotRegularCertificate) as exc:
-        add("build-quotient", "failed", str(exc))
-        return report
+    ctx = build_context(ambient, parsed.central_row, bound=degree)
     if not add("build-quotient", "ok", "",
                **{"d": ctx.d,
                   "gorenstein parameter": ctx.gorenstein_parameter,
                   "quotient relation count":
                       ctx.quotient.relation_space.dim,
                   "quotient hilbert": ctx.quotient.hilbert(degree)}):
-        return report
+        return
 
     # dual-hilbert -----------------------------------------------------------
     adual = ctx.quotient_dual
@@ -228,30 +234,27 @@ def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
                  f"series product fails at degree {numeric.first_failure}",
                  **data)
     if not ok:
-        return report
+        return
 
     # koszul-spaces ----------------------------------------------------------
-    dims = []
-    match = True
-    for n in range(ctx.d + 4):
-        dim_n = koszul_component(ctx, n).dim
-        dims.append(dim_n)
-        if dim_n != adual.graded_dim(n):
-            match = False
+    dims = [koszul_component(ctx, n).dim for n in range(ctx.d + 4)]
+    match = dims == [adual.graded_dim(n) for n in range(ctx.d + 4)]
+    problem = "" if match else "koszul spaces disagree with the dual"
+    for n in range(3, ctx.d + 4):
+        try:
+            check_koszul_nesting(ctx.quotient.relation_space, n, g,
+                                 ctx.koszul_cache)
+        except ContainmentViolated as exc:
+            problem = f"C_{n} is not nested in C_{n - 1}: {exc}"
+            break
     data = {"koszul dims": dims, "agrees with dual dims": match}
-    if not add("koszul-spaces", "ok" if match else "failed",
-               "" if match else "koszul spaces disagree with the dual",
+    if not add("koszul-spaces", "failed" if problem else "ok", problem,
                **data):
-        return report
+        return
 
     # end-algebra ------------------------------------------------------------
-    try:
-        pres = syzygy_presentation(ctx)
-        module = GradedModule(ctx.quotient, pres)
-        end = end_algebra(ctx)
-    except AlgebraError as exc:
-        add("end-algebra", "failed", str(exc))
-        return report
+    module = GradedModule(ctx.quotient, syzygy_presentation(ctx))
+    end = end_algebra(ctx)
     idents = dimension_identities(ctx, end,
                                   module_zero_dim=module.graded_dim(0))
     idents_ok = all(c.ok for c in idents)
@@ -262,7 +265,7 @@ def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
             "identities": [[c.label, c.lhs, c.rhs, c.ok] for c in idents]}
     if not add("end-algebra", "ok" if idents_ok else "failed",
                "" if idents_ok else "a dimension identity failed", **data):
-        return report
+        return
 
     # verdict ----------------------------------------------------------------
     radical_dim = end.algebra.radical().dim
@@ -270,7 +273,7 @@ def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
     report.verdict = isolated
     if not add("verdict", "ok", "",
                **{"radical dim": radical_dim, "isolated": isolated}):
-        return report
+        return
 
     # idempotents ------------------------------------------------------------
     idem_mats = None
@@ -293,48 +296,42 @@ def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
                              "idempotent matrices":
                                  [_matrix_rows(m) for m in idem_mats]})
         except NonSplit as exc:
-            skip_reason = "idempotents do not split over this field"
+            skip_reason = ("idempotents do not split over this field"
+                           if exc.decided else
+                           "idempotent splitting is undecided over this field")
             report.warnings.append(str(exc))
             proceed = add("idempotents", "warning", str(exc),
                           **{"missing factor":
                                  str(exc.factor) if exc.factor else "-",
                              "partial decomposition size": len(exc.partial)})
     if not proceed:
-        return report
+        return
 
     # mcm-classification -----------------------------------------------------
     classification = None
     if idem_mats is None:
         proceed = add("mcm-classification", "skipped", skip_reason)
     else:
-        try:
-            classification = classify_mcm(module, idem_mats, ctx.quotient,
-                                          degree)
-        except AdditivityViolated as exc:
-            proceed = add("mcm-classification", "failed", str(exc))
-            classification = None
-        if classification is not None:
-            summands = []
-            for info in classification.summands:
-                entry = {"index": info.index + 1,
-                         "generators": [[str(c) for c in row]
-                                        for row in info.image_basis],
-                         "hilbert": list(info.hilbert),
-                         "cyclic": info.cyclic.matched}
-                if info.cyclic.matched:
-                    entry["annihilator"] = linear_string(
-                        names, info.cyclic.element)
-                    entry["quotient hilbert"] = list(
-                        info.cyclic.quotient_dims)
-                else:
-                    entry["reason"] = info.cyclic.reason
-                summands.append(entry)
-            proceed = add("mcm-classification", "ok", "",
-                          **{"summands": summands,
-                             "hilbert additivity":
-                                 classification.additivity_ok})
+        classification = classify_mcm(module, idem_mats, ctx.quotient, degree)
+        summands = []
+        for info in classification.summands:
+            entry = {"index": info.index + 1,
+                     "generators": [[str(c) for c in row]
+                                    for row in info.image_basis],
+                     "hilbert": list(info.hilbert),
+                     "cyclic": info.cyclic.matched}
+            if info.cyclic.matched:
+                entry["annihilator"] = linear_string(names,
+                                                     info.cyclic.element)
+                entry["quotient hilbert"] = list(info.cyclic.quotient_dims)
+            else:
+                entry["reason"] = info.cyclic.reason
+            summands.append(entry)
+        proceed = add("mcm-classification", "ok", "",
+                      **{"summands": summands,
+                         "hilbert additivity": classification.additivity_ok})
     if not proceed:
-        return report
+        return
 
     # syzygy-shift -----------------------------------------------------------
     if classification is None:
@@ -355,7 +352,7 @@ def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
         proceed = add("syzygy-shift", "ok" if ev_ok else "failed",
                       "" if ev_ok else "syzygy-shift evidence failed", **data)
     if not proceed:
-        return report
+        return
 
     # preresolution ----------------------------------------------------------
     if classification is None:
@@ -381,7 +378,7 @@ def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
                       "" if shape_ok else "pre-resolution shape is off",
                       **data)
     if not proceed:
-        return report
+        return
 
     # dual-crosscheck ---------------------------------------------------------
     try:
@@ -390,7 +387,7 @@ def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
         report.warnings.append(str(exc))
         add("dual-crosscheck", "warning",
             str(exc) + "; falling back to the endomorphism route only")
-        return report
+        return
     end_alg = end.algebra
     dual_alg = dual_real.algebra
     end_rad = end_alg.radical().dim
@@ -424,7 +421,6 @@ def run_pipeline(parsed, degree=6, seed=0, skip_qp_check=False,
             "bijectivity checked degrees": list(dual_real.checked_range)}
     add("dual-crosscheck", "ok" if agrees else "failed",
         "" if agrees else "the two constructions disagree", **data)
-    return report
 
 
 def _dual_element_string(dual_real):

@@ -126,7 +126,8 @@ class QuadraticPresentation:
             if ci:
                 for k, tk in enumerate(table[i]):
                     if tk:
-                        out[k] = out[k] + ci * tk
+                        term = ci * tk
+                        out[k] = out[k] + term if out[k] else term
         return tuple(out)
 
     def multiply(self, m, a_coords, n, b_coords):

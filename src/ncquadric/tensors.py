@@ -1,9 +1,9 @@
 """Coordinates for tensor powers of the generator space.
 
 Words over g generators index the coordinates of V^(x)n lexicographically
-with the leftmost factor most significant.  On top of that ordering we build
-placement embeddings V^(x)i (x) W (x) V^(x)j and the Koszul spaces
-C_n = intersection of all placements of the relation space.
+with the leftmost factor most significant.  In that ordering the Koszul
+space C_n is the annihilator of I^!_n, the degree-n part of the ideal of
+the quadratic dual, read off the dual's multiplication tables.
 """
 
 from __future__ import annotations
@@ -12,6 +12,10 @@ from itertools import product
 
 from .errors import ContainmentViolated
 from .linalg import Matrix, Subspace
+from .quadratic import QuadraticPresentation
+
+KOSZUL_DUAL = "dual"
+_CLASSES = "classes"
 
 
 def word_index(word, g):
@@ -33,108 +37,23 @@ def all_words(n, g):
     return list(product(range(g), repeat=n))
 
 
-def tensor_with_generators(space, g, side):
-    """W (x) V (side "right") or V (x) W (side "left") as a Subspace.
-
-    The produced basis is already in reduced row echelon form: tensoring an
-    rref basis with standard generators keeps pivots distinct and entries at
-    foreign pivots zero, so no re-reduction happens here.
-    """
-    if side not in ("right", "left"):
-        raise ValueError("side must be 'right' or 'left'")
-    amb = space.ambient_dim
-    z = space.field.zero
-    basis = []
-    pivots = []
-    if side == "right":
-        new_amb = amb * g
-        for i, row in enumerate(space.basis):
-            for k in range(g):
-                v = [z] * new_amb
-                for p in range(amb):
-                    if row[p]:
-                        v[p * g + k] = row[p]
-                basis.append(tuple(v))
-                pivots.append(space.pivots[i] * g + k)
-    else:
-        new_amb = g * amb
-        for k in range(g):
-            for i, row in enumerate(space.basis):
-                v = [z] * new_amb
-                for p in range(amb):
-                    if row[p]:
-                        v[k * amb + p] = row[p]
-                basis.append(tuple(v))
-                pivots.append(k * amb + space.pivots[i])
-    return Subspace(space.field, new_amb, tuple(basis), tuple(pivots))
-
-
-def subspace_tensor(a, b):
-    """Tensor product of two subspaces inside the tensor of their ambients."""
-    amb = a.ambient_dim * b.ambient_dim
-    z = a.field.zero
-    basis = []
-    pivots = []
-    for i, ra in enumerate(a.basis):
-        for j, rb in enumerate(b.basis):
-            v = [z] * amb
-            for p in range(a.ambient_dim):
-                if ra[p]:
-                    for q in range(b.ambient_dim):
-                        if rb[q]:
-                            v[p * b.ambient_dim + q] = ra[p] * rb[q]
-            basis.append(tuple(v))
-            pivots.append(a.pivots[i] * b.ambient_dim + b.pivots[j])
-    return Subspace(a.field, amb, tuple(basis), tuple(pivots))
-
-
-def place(w, i, n, g):
-    """The subspace V^(x)i (x) w (x) V^(x)(n-i-2) of V^(x)n."""
-    if w.ambient_dim != g * g:
-        raise ValueError("placement input must live in V(x)V")
-    if i < 0 or i > n - 2:
-        raise ValueError(f"placement index {i} out of range for degree {n}")
-    right = n - i - 2
-    left_dim = g ** i
-    right_dim = g ** right
-    amb = left_dim * (g * g) * right_dim
-    z = w.field.zero
-    basis = []
-    pivots = []
-    for u in range(left_dim):
-        for bi, row in enumerate(w.basis):
-            base = u * (g * g)
-            for v in range(right_dim):
-                vec = [z] * amb
-                for q in range(g * g):
-                    if row[q]:
-                        vec[(base + q) * right_dim + v] = row[q]
-                basis.append(tuple(vec))
-                pivots.append((base + w.pivots[bi]) * right_dim + v)
-    return Subspace(w.field, amb, tuple(basis), tuple(pivots))
-
-
-def ideal_component(rel, n, g):
-    """Degree-n component of the two-sided ideal (R): the sum of placements."""
-    if n < 2:
-        raise ValueError("ideal components start in degree 2")
-    vectors = []
-    for i in range(n - 1):
-        vectors.extend(list(b) for b in place(rel, i, n, g).basis)
-    return Subspace.span(rel.field, g ** n, vectors)
-
-
 def koszul_space(rel, n, g, cache=None):
-    """C_n: the intersection of all placements of the relation space.
+    """C_n, the annihilator of the degree-n part I^!_n of the dual ideal.
 
-    C_0 is the scalar line, C_1 the full generator space, C_2 the relations.
-    For n >= 3 the full intersection collapses to two terms,
-    C_n = (C_(n-1) (x) V) intersect (V (x) C_(n-1)), because every other
-    placement constraint already holds inside either factor.
+    I^! is generated by R^perp inside T(V*), so under the coordinatewise
+    pairing C_n = intersection of all V^(x)i (x) R (x) V^(x)j is the row
+    space of the class map V^(x)n -> A^!_n, whose column at a word is the
+    class of that word in the quadratic dual A^! = T(V*)/(R^perp)
+    (Polishchuk-Positselski, Quadratic Algebras, ch. 1).  C_0 is the scalar
+    line, C_1 the full generator space, C_2 the relations.  The cache keeps
+    the dual (under KOSZUL_DUAL) and the word classes of the highest degree
+    built so far next to the spaces themselves.
     """
     if n < 0:
         raise ValueError("negative tensor degree")
-    if cache is not None and n in cache:
+    if cache is None:
+        cache = {}
+    if n in cache:
         return cache[n]
     if n == 0:
         out = Subspace.full(rel.field, 1)
@@ -143,11 +62,23 @@ def koszul_space(rel, n, g, cache=None):
     elif n == 2:
         out = rel
     else:
-        prev = koszul_space(rel, n - 1, g, cache)
-        out = tensor_with_generators(prev, g, "right").intersect(
-            tensor_with_generators(prev, g, "left"))
-    if cache is not None:
-        cache[n] = out
+        dual = cache.get(KOSZUL_DUAL)
+        if dual is None:
+            names = tuple(str(k) for k in range(g))
+            dual = QuadraticPresentation(rel.field, names,
+                                         rel.basis).quadratic_dual()
+            cache[KOSZUL_DUAL] = dual
+        start = (0, [(rel.field.one,)])
+        built, classes = cache.get(_CLASSES, start)
+        if built > n:
+            built, classes = start
+        for k in range(built, n):
+            classes = [dual.mult_by_generator(k, cls, l)
+                       for cls in classes for l in range(g)]
+        cache[_CLASSES] = (n, classes)
+        out = Subspace.span(rel.field, g ** n,
+                            [list(row) for row in zip(*classes)])
+    cache[n] = out
     return out
 
 
@@ -174,6 +105,33 @@ def tensor_coords_right(vector, left, g):
         for i, c in enumerate(coords):
             out[i * g + k] = c
     return out
+
+
+def tensor_coords_left(vector, right, g):
+    """Coordinates of a vector of V (x) W over generators tensor basis rows."""
+    amb = right.ambient_dim
+    if len(vector) != g * amb:
+        raise ValueError("vector does not live in V (x) W")
+    out = []
+    for k in range(g):
+        coords = right.coords_of(vector[k * amb:(k + 1) * amb])
+        if coords is None:
+            raise ContainmentViolated(
+                "tensor slice escapes the expected right factor")
+        out.extend(coords)
+    return out
+
+
+def check_koszul_nesting(rel, n, g, cache=None):
+    """Check that C_n lies in both C_(n-1) (x) V and V (x) C_(n-1).
+
+    Raises ContainmentViolated otherwise.  Each C_n is read off the dual on
+    its own, so the nesting is an independent check of that construction.
+    """
+    lower = koszul_space(rel, n - 1, g, cache)
+    for vec in koszul_space(rel, n, g, cache).basis:
+        tensor_coords_right(vec, lower, g)
+        tensor_coords_left(vec, lower, g)
 
 
 def tensor_vector_from_coords(coords, left, g):

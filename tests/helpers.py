@@ -2,7 +2,9 @@
 
 from fractions import Fraction
 
-from ncquadric import Matrix, QuadraticPresentation, Subspace, build_context
+from ncquadric import (AlgebraError, FiniteDimAlgebra, Matrix,
+                       QuadraticPresentation, Subspace, build_context,
+                       pipeline)
 from ncquadric.presentation import parse_file
 
 
@@ -55,3 +57,22 @@ def load_context(path, bound):
     ambient = QuadraticPresentation(parsed.field, parsed.generators,
                                     [row for _, row in parsed.relation_rows])
     return build_context(ambient, parsed.central_row, bound=bound)
+
+
+# the call each late stage makes, as (owner, attribute) for monkeypatch
+STAGE_CALLS = {
+    "idempotents": (FiniteDimAlgebra, "primitive_idempotents"),
+    "mcm-classification": (pipeline, "classify_mcm"),
+    "syzygy-shift": (pipeline, "syzygy_shift_evidence"),
+    "preresolution": (pipeline, "preresolution_table"),
+    "dual-crosscheck": (pipeline, "stable_dual_algebra"),
+}
+
+
+def break_stage(monkeypatch, name):
+    """Make the call behind a stage raise a plain AlgebraError."""
+    def boom(*args, **kwargs):
+        raise AlgebraError("central splitting found no usable element")
+
+    owner, attr = STAGE_CALLS[name]
+    monkeypatch.setattr(owner, attr, boom)

@@ -5,6 +5,8 @@ import pytest
 from ncquadric import STAGES
 from ncquadric.cli import main
 
+from helpers import break_stage
+
 GOLDEN = "inputs/quadric3.pres"
 
 
@@ -102,3 +104,13 @@ def test_module_entry_point():
          "build-quotient"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "[build-quotient] ok" in proc.stdout
+
+
+def test_algebra_error_in_a_stage_exits_one(monkeypatch, capsys):
+    break_stage(monkeypatch, "idempotents")
+    rc, out, err = run(capsys, "inputs/node.pres")
+    assert rc == 1
+    assert err == ""
+    assert ("[idempotents] failed  (central splitting found no usable "
+            "element)") in out
+    assert "[mcm-classification]" not in out

@@ -146,6 +146,29 @@ def test_nonsplit_over_rationals(Q):
     assert len(exc.value.partial) >= 1
 
 
+def test_undecided_split_is_not_reported_as_nonsplit():
+    # u^2 = -1 over Q[t]/(t^4+1): t^2 is a root, but the search cannot
+    # certify it, so the split is reported as undecided
+    F = Field.extension([1, 0, 0, 0, 1])
+    z, one = F.zero, F.one
+    structure = (((one, z), (z, one)), ((z, one), (-one, z)))
+    alg = FiniteDimAlgebra(F, ("1", "u"), structure, (one, z))
+    with pytest.raises(NonSplit) as exc:
+        alg.primitive_idempotents(seed=0)
+    assert exc.value.decided is False
+    assert "undecided" in str(exc.value)
+    assert "does not split" not in str(exc.value)
+    assert str(exc.value.factor) == "t^2+1"
+
+
+def test_nonsplit_over_rationals_is_decided(Q):
+    with pytest.raises(NonSplit) as exc:
+        gaussian_as_rational_algebra(Q).primitive_idempotents(seed=0)
+    assert exc.value.decided is True
+    assert str(exc.value) == (
+        "central characteristic factor does not split over Q")
+
+
 def test_split_over_gaussian(Qi):
     z, one = Qi.zero, Qi.one
     structure = (((one, z), (z, one)), ((z, one), (-one, z)))

@@ -4,6 +4,8 @@ import pytest
 
 from ncquadric import STAGES, parse_source, run_pipeline
 
+from helpers import STAGE_CALLS, break_stage
+
 NOTQP = "field = Q\nvars = x, y\nrel = x*x\ncentral = y*y\n"
 
 
@@ -155,3 +157,62 @@ def test_text_shape(golden_report):
 
 def test_unknown_stage_lookup(golden_report):
     assert golden_report.stage("nonexistent") is None
+
+
+NODE_T4 = ("field = Q[t]/(t^4+1)\nvars = x, y\nrel = x*y - y*x\n"
+           "central = x*x + y*y\n")
+
+
+def test_undecided_split_is_reported_as_undecided():
+    # t^2 is a square root of -1 here, so "does not split" would be false
+    report = run_pipeline(parse_source(NODE_T4), degree=6, seed=0)
+    st = stage_status(report)
+    assert st["idempotents"] == "warning"
+    idem = report.stage("idempotents")
+    assert "undecided" in idem.message
+    assert "does not split" not in idem.message
+    assert idem.data["missing factor"] == "t^2+1"
+    assert report.stage("mcm-classification").message == (
+        "idempotent splitting is undecided over this field")
+    assert not any("does not split" in w for w in report.warnings)
+    assert report.verdict is True
+    assert report.exit_code == 0
+
+
+def test_corrupt_koszul_space_fails_its_stage(golden_parsed, monkeypatch):
+    from ncquadric import Subspace, pipeline
+
+    real_build = pipeline.build_context
+
+    def corrupted(*args, **kwargs):
+        ctx = real_build(*args, **kwargs)
+        field = ctx.quotient.field
+        dim = pipeline.koszul_component(ctx, 4).dim
+        # same dimension as C_4, so only the nesting check can notice
+        ctx.koszul_cache[4] = Subspace.span(field, 81, [
+            [field.one if c == k else field.zero for c in range(81)]
+            for k in range(dim)])
+        return ctx
+
+    monkeypatch.setattr(pipeline, "build_context", corrupted)
+    report = run_pipeline(golden_parsed, degree=6, seed=0)
+    stage = report.stage("koszul-spaces")
+    assert stage.status == "failed"
+    assert stage.message.startswith("C_4 is not nested in C_3")
+    assert stage.data["agrees with dual dims"] is True
+    assert report.stages[-1] is stage
+    assert report.exit_code == 1
+
+
+@pytest.mark.parametrize("name", sorted(STAGE_CALLS))
+def test_algebra_error_fails_its_stage(name, monkeypatch):
+    break_stage(monkeypatch, name)
+    with open("inputs/node.pres") as fh:
+        report = run_pipeline(parse_source(fh.read()), degree=6, seed=0)
+    last = report.stages[-1]
+    assert (last.name, last.status) == (name, "failed")
+    assert last.message == "central splitting found no usable element"
+    assert [s.name for s in report.stages] == \
+        list(STAGES[:STAGES.index(name) + 1])
+    assert all(s.status == "ok" for s in report.stages[:-1])
+    assert report.exit_code == 1

@@ -3,11 +3,12 @@ import pytest
 import oracle as O
 from helpers import rows_pairs
 
-from ncquadric import ContainmentViolated, Field, Subspace
-from ncquadric.tensors import (all_words, ideal_component, index_word,
-                               koszul_space, koszul_transition, place,
-                               subspace_tensor, tensor_coords_right,
-                               tensor_with_generators, word_index)
+from ncquadric import (ContainmentViolated, Field, QuadraticPresentation,
+                       Subspace, build_context, parse_source)
+from ncquadric.tensors import (all_words, check_koszul_nesting, index_word,
+                               koszul_space, koszul_transition,
+                               tensor_coords_left, tensor_coords_right,
+                               word_index)
 from ncquadric.tensors import tensor_vector_from_coords
 
 
@@ -39,45 +40,6 @@ def golden_ctx_mod():
     return load_context(root / "inputs" / "quadric3.pres", bound=6)
 
 
-def test_placement_matches_oracle(golden_rel):
-    o_rels = rows_pairs(golden_rel.basis)
-    for n in (3, 4):
-        for i in range(n - 1):
-            got = place(golden_rel, i, n, 3)
-            want = O.rref(O.placement_vectors(o_rels, i, n, 3))[0]
-            assert got.dim == len(want)
-            canon, _ = O.rref(rows_pairs(got.basis))
-            assert canon == want
-
-
-def test_placement_is_trusted_canonical(golden_rel):
-    # the directly constructed pivots must agree with a re-span
-    sub = place(golden_rel, 1, 4, 3)
-    re = Subspace.span(sub.field, sub.ambient_dim,
-                       [list(b) for b in sub.basis])
-    assert re == sub
-
-
-def test_placement_errors(golden_rel):
-    with pytest.raises(ValueError):
-        place(golden_rel, 2, 3, 3)
-    line = Subspace.span(golden_rel.field, 3,
-                         [[golden_rel.field.one] * 3])
-    with pytest.raises(ValueError):
-        place(line, 0, 3, 3)
-
-
-def test_ideal_component_dims(golden_rel, golden_ctx_mod):
-    # quotient: 4 relations, two overlapping placements in degree 3
-    assert ideal_component(golden_rel, 3, 3).dim == 20
-    amb = golden_ctx_mod.ambient.relation_space
-    assert ideal_component(amb, 3, 3).dim == 17
-    o_rels = rows_pairs(golden_rel.basis)
-    assert O.ideal_dim(o_rels, 3, 3) == 20
-    assert ideal_component(golden_rel, 4, 3).dim == \
-        O.ideal_dim(o_rels, 4, 3)
-
-
 def test_koszul_recursion_equals_literal_intersection(golden_rel):
     o_rels = rows_pairs(golden_rel.basis)
     cache = {}
@@ -93,6 +55,13 @@ def test_koszul_small_degrees(golden_rel):
     assert koszul_space(golden_rel, 0, 3).dim == 1
     assert koszul_space(golden_rel, 1, 3).dim == 3
     assert koszul_space(golden_rel, 2, 3) == golden_rel
+
+
+def test_koszul_space_does_not_depend_on_cache_order(golden_rel):
+    fresh = [koszul_space(golden_rel, n, 3) for n in (3, 4, 5)]
+    cache = {}
+    descending = [koszul_space(golden_rel, n, 3, cache) for n in (5, 4, 3)]
+    assert descending[::-1] == fresh
 
 
 def test_transition_shape_and_consistency(golden_rel):
@@ -119,23 +88,6 @@ def test_transition_commutative_plane_row():
     assert ("0", "1", "-1", "0") in rows
 
 
-def test_tensor_with_generators_layout(golden_rel):
-    right = tensor_with_generators(golden_rel, 3, "right")
-    left = tensor_with_generators(golden_rel, 3, "left")
-    assert right.dim == left.dim == golden_rel.dim * 3
-    assert right.ambient_dim == left.ambient_dim == 27
-    with pytest.raises(ValueError):
-        tensor_with_generators(golden_rel, 3, "middle")
-
-
-def test_subspace_tensor_dim(golden_rel):
-    line = Subspace.span(golden_rel.field, 2,
-                         [[golden_rel.field.one, golden_rel.field.one]])
-    prod = subspace_tensor(line, golden_rel)
-    assert prod.dim == golden_rel.dim
-    assert prod.ambient_dim == 2 * 9
-
-
 def test_tensor_coords_roundtrip(golden_rel):
     cache = {}
     upper = koszul_space(golden_rel, 3, 3, cache)
@@ -154,3 +106,64 @@ def test_tensor_coords_escape(golden_rel):
         tensor_coords_right(bad, golden_rel, 3)
     with pytest.raises(ValueError):
         tensor_coords_right([field.zero] * 10, golden_rel, 3)
+
+
+def test_tensor_coords_left_roundtrip(golden_rel):
+    cache = {}
+    upper = koszul_space(golden_rel, 3, 3, cache)
+    lower = koszul_space(golden_rel, 2, 3, cache)
+    for vec in upper.basis:
+        coords = tensor_coords_left(list(vec), lower, 3)
+        back = [lower.field.zero] * 27
+        for k in range(3):
+            for i, row in enumerate(lower.basis):
+                c = coords[k * lower.dim + i]
+                for p in range(9):
+                    back[k * 9 + p] = back[k * 9 + p] + c * row[p]
+        assert back == list(vec)
+    bad = [golden_rel.field.zero] * 27
+    bad[0] = golden_rel.field.one
+    with pytest.raises(ContainmentViolated):
+        tensor_coords_left(bad, golden_rel, 3)
+    with pytest.raises(ValueError):
+        tensor_coords_left(bad[:10], golden_rel, 3)
+
+
+def test_nesting_check_passes_and_catches_a_corrupt_space(golden_rel):
+    cache = {}
+    for n in (3, 4, 5):
+        check_koszul_nesting(golden_rel, n, 3, cache)
+    # same dimension, wrong space: the first four standard words
+    one, z = golden_rel.field.one, golden_rel.field.zero
+    cache[4] = Subspace.span(golden_rel.field, 81, [
+        [one if c == k else z for c in range(81)] for k in range(4)])
+    with pytest.raises(ContainmentViolated):
+        check_koszul_nesting(golden_rel, 4, 3, cache)
+
+
+FOUR_GENERATOR_QUOTIENTS = {
+    "anticommuting": "field = Q(i)\nvars = x, y, z, u\n"
+                     "rel = x*y + y*x\nrel = x*z + z*x\nrel = x*u + u*x\n"
+                     "rel = y*z + z*y\nrel = y*u + u*y\nrel = z*u + u*z\n"
+                     "central = x*x + y*y + z*z + u*u\n",
+    "commutative": "field = Q(i)\nvars = x, y, z, u\n"
+                   "rel = x*y - y*x\nrel = x*z - z*x\nrel = x*u - u*x\n"
+                   "rel = y*z - z*y\nrel = y*u - u*y\nrel = z*u - u*z\n"
+                   "central = x*x + y*y + z*z + u*u\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOUR_GENERATOR_QUOTIENTS))
+def test_koszul_space_equals_literal_intersection_g4(name):
+    parsed = parse_source(FOUR_GENERATOR_QUOTIENTS[name])
+    ambient = QuadraticPresentation(parsed.field, parsed.generators,
+                                    [row for _, row in parsed.relation_rows])
+    rel = build_context(ambient, parsed.central_row,
+                        bound=4).quotient.relation_space
+    o_rels = rows_pairs(rel.basis)
+    cache = {}
+    for n in (2, 3):
+        got = koszul_space(rel, n, 4, cache)
+        want = O.koszul_literal(o_rels, n, 4)
+        assert got.dim == len(want)
+        assert O.rref(rows_pairs(got.basis))[0] == want
