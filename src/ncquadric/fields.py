@@ -672,8 +672,11 @@ class Polynomial:
         return (self // g).monic()
 
     def __str__(self):
+        """Display in the variable t, or in X where the field's own
+        generator is already called t (Q[t]/(m))."""
         if not self.coeffs:
             return "0"
+        x = "X" if self.field.symbol == "t" else "t"
         parts = []
         for k in range(len(self.coeffs) - 1, -1, -1):
             c = self.coeffs[k]
@@ -684,7 +687,7 @@ class Polynomial:
             if k == 0:
                 body = f"({cs})" if compound else cs
             else:
-                var = "t" if k == 1 else f"t^{k}"
+                var = x if k == 1 else f"{x}^{k}"
                 if cs == "1":
                     body = var
                 elif cs == "-1":

@@ -151,11 +151,6 @@ class FiniteDimAlgebra:
         rows = [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
         return Matrix(self.field, rows, ncols=self.dim)
 
-    def right_mult_matrix(self, a):
-        cols = [self.multiply(self.basis_vector(j), a) for j in range(self.dim)]
-        rows = [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
-        return Matrix(self.field, rows, ncols=self.dim)
-
     # -- semisimplicity ------------------------------------------------------
 
     def _basis_left_mults(self):

@@ -300,16 +300,6 @@ class Subspace:
             return None
         return coords
 
-    def linear_combination(self, coords):
-        z = self.field.zero
-        v = [z] * self.ambient_dim
-        for c, row in zip(coords, self.basis):
-            if c:
-                for j in range(self.ambient_dim):
-                    if row[j]:
-                        v[j] = v[j] + c * row[j]
-        return v
-
     def intersect(self, other):
         self._check_ambient(other)
         ra, rb = self.dim, other.dim
@@ -340,10 +330,6 @@ class Subspace:
         self._check_ambient(other)
         return Subspace.span(self.field, self.ambient_dim,
                              [list(b) for b in self.basis] + [list(b) for b in other.basis])
-
-    def is_subspace_of(self, other):
-        self._check_ambient(other)
-        return all(other.contains(b) for b in self.basis)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.field == other.field

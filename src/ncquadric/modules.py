@@ -2,12 +2,16 @@
 
 A presentation lists generator degrees and relation vectors; a relation of
 degree e is a row over the concatenated blocks A_(e - d_alpha), one block
-per generator.  Graded pieces are computed as cokernels of the span of
-relation translates, which also yields canonical class coordinates and the
-action of the algebra degree by degree.  On top of that sit the operations
-the hypersurface pipeline needs: idempotent cuts of a module, recognition
-of cyclic quotients A/xA, graded Hom spaces, and the degree-zero
-endomorphism algebra of a list of modules.
+per generator.  The degree-n piece M_n is the cokernel of the span of the
+relation translates r.w, w a normal word of A_(n-e).  Normal words grow one
+letter at a time (w = w'x_l, as in QuadraticPresentation._build_component),
+so each translate is one generator step from a translate a degree lower;
+only the latest shift of each relation is kept.  Each level also carries a
+table of its basis vectors times each generator, as sparse classes one
+degree up, and the action of the algebra is read off those tables.  On top
+of that sit the operations the hypersurface pipeline needs: idempotent cuts
+of a module, recognition of cyclic quotients A/xA, graded Hom spaces, and
+the degree-zero endomorphism algebra of a list of modules.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ class ModulePresentation:
 
 
 class _Level:
-    __slots__ = ("offsets", "total", "rel_space", "free_cols", "dim")
+    __slots__ = ("offsets", "total", "rel_space", "free_cols", "dim",
+                 "gen_mult")
 
     def __init__(self, offsets, total, rel_space, free_cols):
         self.offsets = offsets
@@ -35,6 +40,7 @@ class _Level:
         self.rel_space = rel_space
         self.free_cols = free_cols
         self.dim = len(free_cols)
+        self.gen_mult = None  # built on first use by GradedModule._gen_mult
 
 
 class GradedModule:
@@ -45,6 +51,7 @@ class GradedModule:
         self.presentation = presentation
         self.field = algebra.field
         self._levels = {}
+        self._frontier = {}  # relation index -> (shift, translate blocks)
         for e, vec in presentation.relations:
             if len(vec) != self._free_total(e):
                 raise ValueError(
@@ -65,34 +72,53 @@ class GradedModule:
             pos += b
         return offsets, pos
 
+    def _translates(self, idx, shift):
+        """Blocks of r.w for relation idx and each normal word w of A_shift.
+
+        One entry per word, in basis order; each entry holds one sparse
+        class per generator block.  The last shift asked for is kept, and
+        a lower shift starts over from the relation itself.
+        """
+        e, vec = self.presentation.relations[idx]
+        have = self._frontier.get(idx)
+        if have is None or have[0] > shift:
+            src_offsets, _ = self._free_offsets(e)
+            have = (0, [tuple(tuple((k, c) for k, c in
+                                    enumerate(vec[s:s + b]) if c)
+                              for s, b in src_offsets)])
+        s, rows = have
+        alg = self.algebra
+        g = alg.gdim
+        degs = [e - d for d in self.presentation.generator_degrees]
+        while s < shift:
+            rows = [tuple(_times_generator(alg, deg + s, blk, c % g)
+                          for blk, deg in zip(rows[c // g], degs))
+                    for c in alg.component(s + 1).free_cols]
+            s += 1
+        self._frontier[idx] = (s, rows)
+        return rows
+
     def level(self, n):
+        """M_n: the relation translates of degree n and their cokernel.
+
+        The translates of a relation come from its frontier, one generator
+        step per block and degree (see _translates); the rows handed to the
+        elimination are the products r.w in relation order, then word order.
+        """
         lvl = self._levels.get(n)
         if lvl is not None:
             return lvl
         offsets, total = self._free_offsets(n)
+        zero = self.field.zero
         vectors = []
-        alg = self.algebra
-        for e, vec in self.presentation.relations:
+        for idx, (e, _) in enumerate(self.presentation.relations):
             if e > n:
                 continue
-            shift = n - e
-            src_offsets, _ = self._free_offsets(e)
-            blocks = []
-            for alpha, d in enumerate(self.presentation.generator_degrees):
-                start, b = src_offsets[alpha]
-                blocks.append((alpha, e - d, vec[start:start + b]))
-            for j in range(alg.graded_dim(shift)):
-                unit = tuple(self.field.one if t == j else self.field.zero
-                             for t in range(alg.graded_dim(shift)))
-                out = [self.field.zero] * total
-                for alpha, deg_a, coeffs in blocks:
-                    if not any(coeffs):
-                        continue
-                    prod = alg.multiply(deg_a, coeffs, shift, unit)
-                    start, b = offsets[alpha]
-                    for k, c in enumerate(prod):
-                        if c:
-                            out[start + k] = out[start + k] + c
+            for blocks in self._translates(idx, n - e):
+                out = [zero] * total
+                for (start, _), block in zip(offsets, blocks):
+                    for k, c in block:
+                        out[start + k] = c
                 vectors.append(out)
         rel_space = Subspace.span(self.field, total, vectors)
         pivot_set = set(rel_space.pivots)
@@ -134,28 +160,53 @@ class GradedModule:
         out[start] = self.field.one
         return self.class_coords(d, out)
 
-    def mult_by_generator(self, n, coords, l):
-        rep = self.representative(n, coords)
+    def _gen_mult(self, n):
+        """Per generator l, the class in M_(n+1) of each basis vector of M_n
+        times x_l, as (index, coefficient) pairs; built once per level."""
         lvl = self.level(n)
+        if lvl.gen_mult is not None:
+            return lvl.gen_mult
         nxt = self.level(n + 1)
-        out = [self.field.zero] * nxt.total
         alg = self.algebra
-        for alpha, d in enumerate(self.presentation.generator_degrees):
-            start, b = lvl.offsets[alpha]
-            if b == 0:
-                continue
-            block = rep[start:start + b]
-            if not any(block):
-                continue
-            prod = alg.mult_by_generator(n - d, block, l)
-            nstart, nb = nxt.offsets[alpha]
-            for k, c in enumerate(prod):
-                if c:
-                    out[nstart + k] = out[nstart + k] + c
-        return self.class_coords(n + 1, out)
+        field = self.field
+        tables = []
+        for l in range(alg.gdim):
+            rows = []
+            for pos in lvl.free_cols:
+                for alpha, (start, b) in enumerate(lvl.offsets):
+                    if pos < start + b:  # the block that holds pos
+                        break
+                d = self.presentation.generator_degrees[alpha]
+                out = [field.zero] * nxt.total
+                nstart = nxt.offsets[alpha][0]
+                for k, c in _times_generator(alg, n - d,
+                                             ((pos - start, field.one),), l):
+                    out[nstart + k] = c
+                resid = nxt.rel_space.reduce(out)
+                rows.append(tuple((t, resid[c])
+                                  for t, c in enumerate(nxt.free_cols)
+                                  if resid[c]))
+            tables.append(tuple(rows))
+        lvl.gen_mult = tuple(tables)
+        return lvl.gen_mult
+
+    def mult_by_generator(self, n, coords, l):
+        """Class of (element of M_n) * x_l in M_(n+1), from the level table."""
+        table = self._gen_mult(n)[l]
+        out = [self.field.zero] * self.level(n + 1).dim
+        for ci, row in zip(coords, table):
+            if ci:
+                for k, tk in row:
+                    term = ci * tk
+                    out[k] = out[k] + term if out[k] else term
+        return tuple(out)
 
     def mult_by_element(self, n, coords, k, a_coords):
-        """Class of (element of M_n) * (element of A_k)."""
+        """Class of (element of M_n) * (element of A_k).
+
+        Each normal word of A_k acts letter by letter through the generator
+        tables of the levels it passes.
+        """
         if k == 0:
             return tuple(a_coords[0] * c for c in coords)
         words = self.algebra.basis_words(k)
@@ -172,6 +223,24 @@ class GradedModule:
                 if c:
                     out[t] = out[t] + aj * c
         return tuple(out)
+
+
+def _times_generator(algebra, n, sparse, l):
+    """Sparse class of (element of A_n) * x_l in A_(n+1).
+
+    Classes are tuples of (index, coefficient) pairs with nonzero
+    coefficients; the step reads the algebra's generator table for A_(n+1).
+    """
+    if not sparse:
+        return ()
+    table = algebra.component(n + 1).gen_mult[l]
+    acc = {}
+    for i, ci in sparse:
+        for k, tk in enumerate(table[i]):
+            if tk:
+                term = ci * tk
+                acc[k] = acc[k] + term if k in acc else term
+    return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
 
 
 def free_module(algebra):
@@ -463,19 +532,22 @@ def preresolution_table(summand_presentations, algebra, bound):
                    + ["A"])
     count = len(modules)
     degrees = tuple(range(-3, bound + 1))
-    table = []
+    hom_dims = {}
     maps0 = {}
-    for i in range(count):
-        row = []
-        for j in range(count):
+    for j in range(count):
+        # hom_space reads only the target's levels; a fresh target keeps its
+        # level tables for this one column of the table, then drops them
+        target = GradedModule(algebra, modules[j].presentation)
+        for i in range(count):
             dims = []
             for n in degrees:
-                space = hom_space(modules[i], modules[j], n)
+                space = hom_space(modules[i], target, n)
                 if n == 0:
                     maps0[(i, j)] = space
                 dims.append(len(space))
-            row.append(tuple(dims))
-        table.append(tuple(row))
+            hom_dims[(i, j)] = tuple(dims)
+    table = tuple(tuple(hom_dims[(i, j)] for j in range(count))
+                  for i in range(count))
     zero_at = degrees.index(0)
     negative_ok = all(all(d == 0 for k, d in enumerate(row_dims)
                           if degrees[k] < 0)
@@ -568,5 +640,5 @@ def preresolution_table(summand_presentations, algebra, bound):
             field, tuple(labels_b[t] for t in diag_idx), sub_sc, sub_unit)
         diag_ok = diag_alg.is_semisimple()
     gldim = corner_zero and diag_ok
-    return PreresolutionReport(labels, degrees, tuple(table), negative_ok,
+    return PreresolutionReport(labels, degrees, table, negative_ok,
                                corner_zero, diagonal_dims, diag_ok, b0, gldim)

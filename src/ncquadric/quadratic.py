@@ -168,19 +168,6 @@ class QuadraticPresentation:
                     out[k] = out[k] + ck
         return tuple(out)
 
-    def element_vector(self, n, coords):
-        """Lift class coordinates to the canonical normal-word tensor vector."""
-        g = self.gdim
-        vec = [self.field.zero] * (g ** n)
-        words = self.component(n).words
-        for j, c in enumerate(coords):
-            if c:
-                flat = 0
-                for letter in words[j]:
-                    flat = flat * g + letter
-                vec[flat] = vec[flat] + c
-        return vec
-
     # -- derived structure -------------------------------------------------
 
     def quadratic_dual(self):

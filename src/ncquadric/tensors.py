@@ -8,8 +8,6 @@ the quadratic dual, read off the dual's multiplication tables.
 
 from __future__ import annotations
 
-from itertools import product
-
 from .errors import ContainmentViolated
 from .linalg import Matrix, Subspace
 from .quadratic import QuadraticPresentation
@@ -23,18 +21,6 @@ def word_index(word, g):
     for letter in word:
         flat = flat * g + letter
     return flat
-
-
-def index_word(flat, n, g):
-    word = [0] * n
-    for k in range(n - 1, -1, -1):
-        word[k] = flat % g
-        flat //= g
-    return tuple(word)
-
-
-def all_words(n, g):
-    return list(product(range(g), repeat=n))
 
 
 def koszul_space(rel, n, g, cache=None):
@@ -132,18 +118,3 @@ def check_koszul_nesting(rel, n, g, cache=None):
     for vec in koszul_space(rel, n, g, cache).basis:
         tensor_coords_right(vec, lower, g)
         tensor_coords_left(vec, lower, g)
-
-
-def tensor_vector_from_coords(coords, left, g):
-    """Inverse of tensor_coords_right: assemble the ambient tensor vector."""
-    amb = left.ambient_dim
-    z = left.field.zero
-    out = [z] * (amb * g)
-    for i, row in enumerate(left.basis):
-        for k in range(g):
-            c = coords[i * g + k]
-            if c:
-                for p in range(amb):
-                    if row[p]:
-                        out[p * g + k] = out[p * g + k] + c * row[p]
-    return out

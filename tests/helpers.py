@@ -1,10 +1,12 @@
-"""Shared conversion helpers for comparing package output with the oracle."""
+"""Shared helpers for the tests: conversions for comparing package output
+with the oracle, and small constructions that only the tests need."""
 
 from fractions import Fraction
+from itertools import product
 
-from ncquadric import (AlgebraError, FiniteDimAlgebra, Matrix,
-                       QuadraticPresentation, Subspace, build_context,
-                       pipeline)
+from ncquadric import (AlgebraError, AmbientMismatch, FiniteDimAlgebra,
+                       Matrix, QuadraticPresentation, Subspace,
+                       build_context, pipeline)
 from ncquadric.presentation import parse_file
 
 
@@ -76,3 +78,73 @@ def break_stage(monkeypatch, name):
 
     owner, attr = STAGE_CALLS[name]
     monkeypatch.setattr(owner, attr, boom)
+
+
+# -- words, tensors and subspaces ---------------------------------------------
+
+
+def index_word(flat, n, g):
+    """Inverse of ncquadric.tensors.word_index for words of length n."""
+    word = [0] * n
+    for k in range(n - 1, -1, -1):
+        word[k] = flat % g
+        flat //= g
+    return tuple(word)
+
+
+def all_words(n, g):
+    return list(product(range(g), repeat=n))
+
+
+def tensor_vector_from_coords(coords, left, g):
+    """Inverse of tensor_coords_right: assemble the ambient tensor vector."""
+    amb = left.ambient_dim
+    z = left.field.zero
+    out = [z] * (amb * g)
+    for i, row in enumerate(left.basis):
+        for k in range(g):
+            c = coords[i * g + k]
+            if c:
+                for p in range(amb):
+                    if row[p]:
+                        out[p * g + k] = out[p * g + k] + c * row[p]
+    return out
+
+
+def element_vector(presentation, n, coords):
+    """Lift class coordinates in A_n to the normal-word tensor vector."""
+    g = presentation.gdim
+    vec = [presentation.field.zero] * (g ** n)
+    words = presentation.component(n).words
+    for j, c in enumerate(coords):
+        if c:
+            flat = 0
+            for letter in words[j]:
+                flat = flat * g + letter
+            vec[flat] = vec[flat] + c
+    return vec
+
+
+def linear_combination(sub, coords):
+    """The vector with the given coordinates over the basis rows of sub."""
+    z = sub.field.zero
+    v = [z] * sub.ambient_dim
+    for c, row in zip(coords, sub.basis):
+        if c:
+            for j in range(sub.ambient_dim):
+                if row[j]:
+                    v[j] = v[j] + c * row[j]
+    return v
+
+
+def is_subspace_of(sub, other):
+    if sub.ambient_dim != other.ambient_dim or sub.field != other.field:
+        raise AmbientMismatch("subspaces live in different ambient spaces")
+    return all(other.contains(b) for b in sub.basis)
+
+
+def right_mult_matrix(alg, a):
+    """Matrix of x -> x * a on a finite-dimensional algebra."""
+    cols = [alg.multiply(alg.basis_vector(j), a) for j in range(alg.dim)]
+    rows = [[cols[j][k] for j in range(alg.dim)] for k in range(alg.dim)]
+    return Matrix(alg.field, rows, ncols=alg.dim)

@@ -6,7 +6,8 @@ import oracle as O
 from helpers import gauss, normalize_line, rows_pairs, vec_pairs
 
 from ncquadric import (GradedModule, ModulePresentation, NotIsolated,
-                       Subspace, classify_mcm, end_algebra, free_module,
+                       SmallRng, Subspace, classify_mcm, end_algebra,
+                       free_module,
                        hom_graded, hom_space, identify_cyclic_quotient,
                        idempotent_summand, linear_string, module_graded_dim,
                        preresolution_table, syzygy_presentation,
@@ -210,3 +211,125 @@ def test_mult_by_element_degree_zero(golden_ctx, golden_module):
         0, coords, 0, [field.from_rational(3)])
     assert tuple(scaled) == (field.from_rational(3), field.zero,
                              field.zero, field.zero)
+
+
+# -- the level engine against the literal word-walk construction ----------------
+
+ENGINE_BOUND = 6
+
+
+def literal_rel_space(module, n):
+    """Span of every relation times every normal word of A_(n-e), each
+    product walked letter by letter through QuadraticPresentation.multiply."""
+    alg, field = module.algebra, module.field
+    degs = module.presentation.generator_degrees
+
+    def offsets(m):
+        out, pos = [], 0
+        for d in degs:
+            out.append((pos, alg.graded_dim(m - d)))
+            pos += alg.graded_dim(m - d)
+        return out, pos
+
+    tgt, total = offsets(n)
+    vectors = []
+    for e, vec in module.presentation.relations:
+        if e > n:
+            continue
+        src, _ = offsets(e)
+        dim = alg.graded_dim(n - e)
+        for j in range(dim):
+            unit = tuple(field.one if t == j else field.zero
+                         for t in range(dim))
+            out = [field.zero] * total
+            for (s, b), (start, _), d in zip(src, tgt, degs):
+                if any(vec[s:s + b]):
+                    prod = alg.multiply(e - d, vec[s:s + b], n - e, unit)
+                    for k, c in enumerate(prod):
+                        out[start + k] = out[start + k] + c
+            vectors.append(out)
+    return Subspace.span(field, total, vectors)
+
+
+def literal_product(module, n, coords, k, a_coords):
+    """Class of representative(n, coords) times a, blockwise in the free
+    module, reduced with class_coords."""
+    alg = module.algebra
+    rep = module.representative(n, coords)
+    lvl, nxt = module.level(n), module.level(n + k)
+    out = [module.field.zero] * nxt.total
+    for alpha, d in enumerate(module.presentation.generator_degrees):
+        start, b = lvl.offsets[alpha]
+        block = rep[start:start + b]
+        if any(block):
+            prod = alg.multiply(n - d, block, k, a_coords)
+            nstart = nxt.offsets[alpha][0]
+            for t, c in enumerate(prod):
+                out[nstart + t] = out[nstart + t] + c
+    return module.class_coords(n + k, out)
+
+
+@pytest.fixture(scope="module")
+def engine_modules(golden_ctx, golden_module, golden_idem_matrices):
+    """Presentations of the golden parent, a depth-3 summand, and a module
+    with generators in degrees 0 and 1 (one relation has a zero block)."""
+    alg = golden_ctx.quotient
+    field = alg.field
+    mat = golden_idem_matrices[0]
+    image = Subspace.span(field, 4, [[mat.entry(r, c) for r in range(4)]
+                                     for c in range(4)])
+    summand = idempotent_summand(golden_module, image, depth=3)
+
+    def row(*ints):
+        return tuple(gauss(field, c) for c in ints)
+
+    mixed = ModulePresentation((0, 1), (
+        (1, row(1, 0, 2, -1)),                   # g0*(x+2z) = g1
+        (2, row(0, 0, 0, 0, 0, 0, 1, 0)),        # g1*y = 0
+        (2, row(1, 0, 0, 0, 1, 0, 0, 3)),        # g0*(w0+w4) + 3*g1*z = 0
+    ))
+    assert (alg.graded_dim(1), alg.graded_dim(2)) == (3, 5)
+    return {"parent": golden_module.presentation, "summand": summand,
+            "mixed": mixed}
+
+
+@pytest.mark.parametrize("name", ["parent", "summand", "mixed"])
+def test_levels_match_literal_word_products(golden_ctx, engine_modules, name):
+    pres = engine_modules[name]
+    module = GradedModule(golden_ctx.quotient, pres)
+    for n in range(ENGINE_BOUND + 3):
+        want = literal_rel_space(module, n)
+        assert module.level(n).rel_space == want, n
+    in_order = GradedModule(golden_ctx.quotient, pres)
+    for n in range(9):
+        in_order.level(n)
+    shuffled = GradedModule(golden_ctx.quotient, pres)
+    for n in (8, 3, 5):
+        got, want = shuffled.level(n), in_order.level(n)
+        assert got.rel_space == want.rel_space, n
+        assert got.free_cols == want.free_cols, n
+
+
+@pytest.mark.parametrize("name", ["parent", "summand", "mixed"])
+def test_action_tables_match_literal_products(golden_ctx, engine_modules,
+                                              name):
+    alg = golden_ctx.quotient
+    field = alg.field
+    module = GradedModule(alg, engine_modules[name])
+    rng = SmallRng(sum(map(ord, name)))
+
+    def random_vec(size):
+        return tuple(gauss(field, rng.small_coeff(), rng.small_coeff())
+                     for _ in range(size))
+
+    for n in range(5):
+        coords = random_vec(module.graded_dim(n))
+        for l in range(alg.gdim):
+            unit = tuple(field.one if t == l else field.zero
+                         for t in range(alg.gdim))
+            assert module.mult_by_generator(n, coords, l) == \
+                literal_product(module, n, coords, 1, unit)
+        for k in range(3):
+            a = random_vec(alg.graded_dim(k))
+            assert module.mult_by_element(n, coords, k, a) == \
+                literal_product(module, n, coords, k, a)

@@ -171,12 +171,27 @@ def test_undecided_split_is_reported_as_undecided():
     idem = report.stage("idempotents")
     assert "undecided" in idem.message
     assert "does not split" not in idem.message
-    assert idem.data["missing factor"] == "t^2+1"
+    assert idem.data["missing factor"] == "X^2+1"
     assert report.stage("mcm-classification").message == (
         "idempotent splitting is undecided over this field")
     assert not any("does not split" in w for w in report.warnings)
     assert report.verdict is True
     assert report.exit_code == 0
+
+
+def test_factor_variable_differs_from_the_field_generator():
+    # over Q[t]/(t^4+1) a factor printed in t would read as a field element
+    report = run_pipeline(parse_source(NODE_T4), degree=6, seed=0)
+    warning = ("splitting of the central characteristic factor X^2+1 over "
+               "Q[t]/(t^4+1) is undecided: the root search is incomplete")
+    text = report.to_text()
+    assert "\n  missing factor: X^2+1\n" in text
+    assert f"\nwarning: {warning}\n" in text
+    assert "t^2+1" not in text
+    data = json.loads(report.to_json())
+    assert data["warnings"] == [warning]
+    idem = next(s for s in data["stages"] if s["name"] == "idempotents")
+    assert idem["data"]["missing factor"] == "X^2+1"
 
 
 def test_corrupt_koszul_space_fails_its_stage(golden_parsed, monkeypatch):

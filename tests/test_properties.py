@@ -2,8 +2,10 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
+from helpers import index_word
+
 from ncquadric import Field, Polynomial, SmallRng, Subspace
-from ncquadric.tensors import index_word, word_index
+from ncquadric.tensors import word_index
 
 QI = Field.gaussian()
 QQ = Field.rationals()

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 import oracle as O
-from helpers import gauss, rows_pairs
+from helpers import element_vector, gauss, rows_pairs
 
 from ncquadric import Field, QuadraticPresentation, RelationDependence, \
     SmallRng, is_regular_deg2, koszul_numeric_check, linear_string, \
@@ -175,5 +175,5 @@ def test_project_and_element_vector(S):
     # projecting the full tensor square of the central element recovers
     # its class coordinates, and element_vector round-trips them
     w_class = S.project(2, [gauss(S.field, c) for c in W_ROW])
-    vec = S.element_vector(2, w_class)
+    vec = element_vector(S, 2, w_class)
     assert S.project(2, vec) == w_class

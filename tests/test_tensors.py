@@ -1,15 +1,14 @@
 import pytest
 
 import oracle as O
-from helpers import rows_pairs
+from helpers import (all_words, index_word, rows_pairs,
+                     tensor_vector_from_coords)
 
 from ncquadric import (ContainmentViolated, Field, QuadraticPresentation,
                        Subspace, build_context, parse_source)
-from ncquadric.tensors import (all_words, check_koszul_nesting, index_word,
-                               koszul_space, koszul_transition,
-                               tensor_coords_left, tensor_coords_right,
-                               word_index)
-from ncquadric.tensors import tensor_vector_from_coords
+from ncquadric.tensors import (check_koszul_nesting, koszul_space,
+                               koszul_transition, tensor_coords_left,
+                               tensor_coords_right, word_index)
 
 
 def test_word_index_roundtrip():
