@@ -1,14 +1,21 @@
 """Exact scalars: Q, the Gaussian rationals Q(i), and simple extensions Q[t]/(m).
 
-Elements are coordinate vectors over the power basis 1, t, ..., t^(e-1) with
-Fraction coordinates.  All arithmetic is exact; nothing here ever rounds.
+An element of a field of degree e is a coordinate vector over the power
+basis 1, t, ..., t^(e-1), stored as e integer numerators over one common
+positive denominator in lowest terms.  Each arithmetic result costs one gcd
+(none when the denominator is 1), equality is an integer-tuple compare, and
+the modulus being a monic integer polynomial keeps the reduction of t^e
+integral.  ``fractions.Fraction`` is used only at the boundary: building an
+element from rational coordinates, reading them back as ``coords``, and the
+root searches.  All arithmetic is exact; nothing here ever rounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt, lcm
+from operator import add, neg, sub
 
 from .errors import DivisionByZero, FieldMismatch
 
@@ -105,6 +112,37 @@ def _int_rational_roots(coeffs):
                 if acc == 0:
                     roots.add(cand)
     return roots
+
+
+def _int_quadratic_factor(m):
+    """A monic integer quadratic factor (c, b, 1) of m, or None.
+
+    m is a monic integer polynomial (ascending) without rational roots.  By
+    Gauss's lemma a quadratic factor over Q can be taken monic integral.  Then
+    c divides m(0) and 1 + b + c divides m(1), both nonzero here; and the
+    roots of the factor are roots of m, so |b| <= 2B with the Cauchy bound
+    B = 1 + max |m_i|.
+    """
+    bound = 1 + max(abs(c) for c in m[:-1])
+    at_one = sorted(s * d for d in _divisors(sum(m)) for s in (-1, 1))
+    for c in sorted(s * d for d in _divisors(m[0]) for s in (-1, 1)):
+        for e in at_one:
+            b = e - 1 - c
+            if abs(b) <= 2 * bound and _int_divides((c, b), m):
+                return (c, b, 1)
+    return None
+
+
+def _int_divides(low, m):
+    """Does the monic polynomial low + t^k divide the monic integer polynomial m?"""
+    rem = list(m)
+    k = len(low)
+    for top in range(len(rem) - 1, k - 1, -1):
+        c = rem[top]
+        if c:
+            for i, li in enumerate(low):
+                rem[top - k + i] -= c * li
+    return not any(rem[:k])
 
 
 def _divisors(n):
@@ -226,14 +264,16 @@ def _gs_divisors(x):
 class Field:
     """A base field: the rationals, the Gaussian rationals, or Q[t]/(m(t)).
 
-    The modulus of an extension must be a monic integer polynomial.  For
-    degree two or three, irreducibility is verified via the absence of
-    rational roots; higher degrees are accepted on the caller's assertion,
+    The modulus of an extension must be a monic integer polynomial.  Up to
+    degree five, irreducibility is verified: no rational root, and for
+    degree four and five no monic integer quadratic factor either (a
+    reducible polynomial of degree at most five has a factor of degree one
+    or two).  Higher degrees are accepted on the caller's assertion,
     recorded in ``modulus_verified``.
     """
 
     __slots__ = ("kind", "degree", "modulus", "symbol", "modulus_verified",
-                 "_theta_pows", "zero", "one", "_elem_cls")
+                 "_theta_pows", "zero", "one")
 
     def __init__(self, kind, modulus=None):
         if kind == RATIONALS:
@@ -256,9 +296,15 @@ class Field:
                 raise ValueError("extension modulus must be monic")
             deg = len(m) - 1
             verified = False
-            if deg <= 3:
+            if deg <= 5:
                 if _int_rational_roots(m):
                     raise ValueError("modulus is reducible over Q (has a rational root)")
+                if deg >= 4:
+                    factor = _int_quadratic_factor(m)
+                    if factor is not None:
+                        raise ValueError(
+                            "modulus is reducible over Q (has a quadratic "
+                            f"factor {_int_poly_str(factor)})")
                 verified = True
             self.kind = kind
             self.degree = deg
@@ -268,25 +314,23 @@ class Field:
         else:
             raise ValueError(f"unknown field kind {kind!r}")
         self._theta_pows = self._reduction_table()
-        self.zero = FieldElement(self, (_ZERO,) * self.degree)
-        one = [_ZERO] * self.degree
-        one[0] = _ONE
-        self.one = FieldElement(self, tuple(one))
+        zeros = (0,) * (self.degree - 1)
+        self.zero = _make(self, (0,) + zeros, 1)
+        self.one = _make(self, (1,) + zeros, 1)
 
     def _reduction_table(self):
+        """Integer coordinates of t^e, ..., t^(2e-2) over 1, ..., t^(e-1)."""
         e = self.degree
         if e == 1:
             return ()
-        m = [Fraction(c) for c in self.modulus]
+        m = self.modulus
         # t^e = -(m0 + m1 t + ... + m_{e-1} t^{e-1})
         pows = []
         cur = [-m[k] for k in range(e)]
         pows.append(tuple(cur))
         for _ in range(e - 2):
-            nxt = [_ZERO] * e
             carry = cur[e - 1]
-            for k in range(e - 1):
-                nxt[k + 1] = cur[k]
+            nxt = [0] + cur[:e - 1]
             if carry:
                 for k in range(e):
                     nxt[k] += carry * pows[0][k]
@@ -309,23 +353,21 @@ class Field:
         return cls(EXTENSION, modulus)
 
     def element(self, coords):
-        coords = tuple(Fraction(c) for c in coords)
+        coords = tuple(coords)
         if len(coords) != self.degree:
             raise ValueError(f"expected {self.degree} coordinates, got {len(coords)}")
         return FieldElement(self, coords)
 
     def from_rational(self, value):
-        coords = [_ZERO] * self.degree
-        coords[0] = Fraction(value)
-        return FieldElement(self, tuple(coords))
+        value = Fraction(value)
+        return _make(self, (value.numerator,) + (0,) * (self.degree - 1),
+                     value.denominator)
 
     def generator(self):
         """The adjoined element: i for Q(i), t for an extension."""
         if self.degree < 2:
             raise ValueError("the rationals have no adjoined generator")
-        coords = [_ZERO] * self.degree
-        coords[1] = _ONE
-        return FieldElement(self, tuple(coords))
+        return _make(self, (0, 1) + (0,) * (self.degree - 2), 1)
 
     def describe(self):
         if self.kind == RATIONALS:
@@ -344,12 +386,46 @@ class Field:
         return f"Field({self.describe()})"
 
 
+_new_element = object.__new__
+
+
+def _make(field, num, den):
+    """The element num/den of field (den > 0), brought to lowest terms."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([a // g for a in num])
+            den //= g
+    x = _new_element(FieldElement)
+    x.field = field
+    x.num = num
+    x.den = den
+    return x
+
+
 class FieldElement:
-    __slots__ = ("field", "coords")
+    """An element sum_k (num[k] / den) t^k over the power basis of its field.
+
+    ``num`` is a tuple of ``field.degree`` ints and ``den`` an int > 0, in
+    lowest terms: gcd(den, *num) == 1, and zero is (0, ..., 0)/1.  Equal
+    elements therefore have equal ``num`` and ``den``.  The constructor takes
+    rational coordinates, and ``coords`` gives them back as Fractions.
+    """
+
+    __slots__ = ("field", "num", "den")
 
     def __init__(self, field, coords):
+        coords = [Fraction(c) for c in coords]
+        den = lcm(*[c.denominator for c in coords])
         self.field = field
-        self.coords = coords
+        self.num = tuple([c.numerator * (den // c.denominator) for c in coords])
+        self.den = den
+
+    @property
+    def coords(self):
+        """The coordinates over 1, t, ..., t^(e-1) as Fractions."""
+        den = self.den
+        return tuple([Fraction(a, den) for a in self.num])
 
     def _coerce(self, other):
         if isinstance(other, FieldElement):
@@ -362,18 +438,30 @@ class FieldElement:
         return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, tuple(a + b for a, b in zip(self.coords, o.coords)))
+        o = other
+        if type(o) is not FieldElement or o.field is not self.field:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        d, od = self.den, o.den
+        if d == od:
+            return _make(self.field, tuple(map(add, self.num, o.num)), d)
+        return _make(self.field,
+                     tuple([a * od + b * d for a, b in zip(self.num, o.num)]), d * od)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return FieldElement(self.field, tuple(a - b for a, b in zip(self.coords, o.coords)))
+        o = other
+        if type(o) is not FieldElement or o.field is not self.field:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        d, od = self.den, o.den
+        if d == od:
+            return _make(self.field, tuple(map(sub, self.num, o.num)), d)
+        return _make(self.field,
+                     tuple([a * od - b * d for a, b in zip(self.num, o.num)]), d * od)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -382,24 +470,35 @@ class FieldElement:
         return o - self
 
     def __neg__(self):
-        return FieldElement(self.field, tuple(-a for a in self.coords))
+        return _make(self.field, tuple(map(neg, self.num)), self.den)
 
     def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        e = self.field.degree
-        a, b = self.coords, o.coords
+        o = other
+        if type(o) is not FieldElement or o.field is not self.field:
+            o = self._coerce(other)
+            if o is None:
+                return NotImplemented
+        field = self.field
+        e = field.degree
+        a, b = self.num, o.num
+        den = self.den * o.den
         if e == 1:
-            return FieldElement(self.field, (a[0] * b[0],))
-        conv = [_ZERO] * (2 * e - 1)
+            return _make(field, (a[0] * b[0],), den)
+        if e == 2:
+            # t^2 = p0 + p1 t
+            p0, p1 = field._theta_pows[0]
+            a0, a1 = a
+            b0, b1 = b
+            top = a1 * b1
+            return _make(field, (a0 * b0 + p0 * top, a0 * b1 + a1 * b0 + p1 * top), den)
+        conv = [0] * (2 * e - 1)
         for i, ai in enumerate(a):
             if ai:
                 for j, bj in enumerate(b):
                     if bj:
                         conv[i + j] += ai * bj
-        out = list(conv[:e])
-        pows = self.field._theta_pows
+        out = conv[:e]
+        pows = field._theta_pows
         for k in range(e, 2 * e - 1):
             c = conv[k]
             if c:
@@ -407,20 +506,33 @@ class FieldElement:
                 for idx in range(e):
                     if row[idx]:
                         out[idx] += c * row[idx]
-        return FieldElement(self.field, tuple(out))
+        return _make(field, tuple(out), den)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if not self:
             raise DivisionByZero("inverse of zero")
-        e = self.field.degree
+        field = self.field
+        e = field.degree
+        d = self.den
         if e == 1:
-            return FieldElement(self.field, (1 / self.coords[0],))
+            a = self.num[0]
+            return _make(field, (d,), a) if a > 0 else _make(field, (-d,), -a)
+        if e == 2:
+            # (a + b t)(a + b p1 - b t) = a^2 + a b p1 - b^2 p0 for t^2 = p0 + p1 t
+            p0, p1 = field._theta_pows[0]
+            a, b = self.num
+            conj = a + b * p1
+            norm = a * conj - b * b * p0
+            if norm > 0:
+                return _make(field, (conj * d, -b * d), norm)
+            if norm < 0:
+                return _make(field, (-conj * d, b * d), -norm)
+            raise DivisionByZero("element has no inverse modulo the field modulus")
         inv = _fr_inverse_mod(_fr_trim(list(self.coords)),
-                              [Fraction(c) for c in self.field.modulus])
-        inv = list(inv) + [_ZERO] * (e - len(inv))
-        return FieldElement(self.field, tuple(inv[:e]))
+                              [Fraction(c) for c in field.modulus])
+        return FieldElement(field, list(inv) + [_ZERO] * (e - len(inv)))
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -447,17 +559,18 @@ class FieldElement:
         return result
 
     def __bool__(self):
-        return any(self.coords)
+        return any(self.num)
 
     def __eq__(self, other):
         if isinstance(other, FieldElement):
-            return self.field == other.field and self.coords == other.coords
+            return (self.num == other.num and self.den == other.den
+                    and (self.field is other.field or self.field == other.field))
         if isinstance(other, (int, Fraction)):
             return self == self.field.from_rational(other)
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.field.kind, self.field.modulus, self.coords))
+        return hash((self.num, self.den))
 
     def __str__(self):
         terms = []

@@ -58,12 +58,15 @@ class HypersurfaceContext:
         return self._ambient_dual
 
 
-def build_context(ambient, w, bound=6):
+def build_context(ambient, w, bound=6, regularity=None):
     """Validate (S, w) and assemble the hypersurface context.
 
     Checks, in order: at least two generators, w outside the relation space,
     centrality of w in degree 3, and the torsion-free certificate for
-    multiplication by w up to the bound.
+    multiplication by w up to the bound.  A caller that already holds that
+    certificate, ``is_regular_deg2(ambient, w, bound)``, passes it as
+    ``regularity``; the quotient A/(w) it was read from becomes
+    ``ctx.quotient`` either way, so the quotient is built once.
     """
     if ambient.gdim < 2:
         raise UnsupportedDimension(
@@ -78,15 +81,13 @@ def build_context(ambient, w, bound=6):
             "algebra")
     if not ambient.is_central_deg2(w):
         raise NotCentral("candidate element is not central in degree 3")
-    cert = is_regular_deg2(ambient, w, bound)
+    cert = (regularity if regularity is not None
+            else is_regular_deg2(ambient, w, bound))
     if not cert.passed:
         raise NotRegularCertificate(
             f"multiplication by the central element drops rank at degree "
             f"{cert.first_failure}")
-    quotient = QuadraticPresentation(
-        field, ambient.generators,
-        list(ambient.relation_space.basis) + [w])
-    return HypersurfaceContext(ambient, w, quotient, cert, bound)
+    return HypersurfaceContext(ambient, w, cert.quotient, cert, bound)
 
 
 def koszul_component(ctx, n):

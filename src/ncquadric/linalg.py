@@ -15,6 +15,8 @@ from .fields import FieldElement
 
 
 def _coerce_entry(field, value):
+    if type(value) is FieldElement and value.field is field:
+        return value
     if isinstance(value, FieldElement):
         if value.field is not field and value.field != field:
             raise FieldMismatch("matrix entry from a different field")

@@ -206,7 +206,8 @@ def _run_stages(report, parsed, degree, seed, skip_qp_check, stop_after):
         return
 
     # build-quotient ---------------------------------------------------------
-    ctx = build_context(ambient, parsed.central_row, bound=degree)
+    ctx = build_context(ambient, parsed.central_row, bound=degree,
+                        regularity=reg)
     if not add("build-quotient", "ok", "",
                **{"d": ctx.d,
                   "gorenstein parameter": ctx.gorenstein_parameter,

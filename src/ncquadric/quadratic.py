@@ -10,7 +10,7 @@ centrality tests, regularity certificates, the quadratic dual).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from math import comb
 
 from .errors import RelationDependence
@@ -205,6 +205,8 @@ class RegularityCertificate:
     passed: bool
     rows: tuple  # (degree, expected, actual)
     first_failure: object = None
+    # the quotient A/(w) the rows were read from, reused by build_context
+    quotient: object = dataclass_field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -249,7 +251,7 @@ def is_regular_deg2(presentation, w, bound):
         if expected != actual and first is None:
             first = n
             passed = False
-    return RegularityCertificate(passed, tuple(rows), first)
+    return RegularityCertificate(passed, tuple(rows), first, quotient)
 
 
 def koszul_numeric_check(presentation, bound, dual=None):

@@ -148,3 +148,30 @@ def right_mult_matrix(alg, a):
     cols = [alg.multiply(alg.basis_vector(j), a) for j in range(alg.dim)]
     rows = [[cols[j][k] for j in range(alg.dim)] for k in range(alg.dim)]
     return Matrix(alg.field, rows, ncols=alg.dim)
+
+
+# -- reference scalar arithmetic on Fraction coordinates -----------------------
+
+
+def fraction_add(a, b):
+    """Sum of two coordinate tuples of Fractions."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def fraction_mul(field, a, b):
+    """Product of two coordinate tuples of Fractions in field: the
+    convolution, with t^k for k >= e reduced by the monic modulus."""
+    e = field.degree
+    if e == 1:
+        return (a[0] * b[0],)
+    conv = [Fraction(0)] * (2 * e - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    m = field.modulus
+    for k in range(2 * e - 2, e - 1, -1):
+        c = conv[k]
+        conv[k] = Fraction(0)
+        for i in range(e):
+            conv[k - e + i] -= c * m[i]
+    return tuple(conv[:e])

@@ -114,3 +114,14 @@ def test_algebra_error_in_a_stage_exits_one(monkeypatch, capsys):
     assert ("[idempotents] failed  (central splitting found no usable "
             "element)") in out
     assert "[mcm-classification]" not in out
+
+
+@pytest.mark.parametrize("modulus", ["t^4+3*t^2+2", "t^4+4"])
+def test_reducible_quartic_modulus_exits_2(capsys, tmp_path, modulus):
+    pres = tmp_path / "node.pres"
+    pres.write_text(f"field = Q[t]/({modulus})\nvars = x, y\n"
+                    "rel = x*y - y*x\ncentral = x*x + y*y\n")
+    rc, out, err = run(capsys, str(pres))
+    assert rc == 2
+    assert out == ""
+    assert "modulus is reducible over Q (has a quadratic factor" in err

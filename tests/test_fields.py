@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -66,6 +67,27 @@ def test_extension_arithmetic(Qsqrt2):
 def test_extension_rejects_reducible():
     with pytest.raises(ValueError):
         Field.extension((-1, 0, 1))  # t^2 - 1 factors
+
+
+@pytest.mark.parametrize("modulus, factor", [
+    ((2, 0, 3, 0, 1), "t^2+1"),             # (t^2+1)(t^2+2)
+    ((4, 0, 0, 0, 1), "t^2-2*t+2"),         # (t^2-2t+2)(t^2+2t+2)
+    ((2, 0, 2, 1, 0, 1), "t^2+1"),          # (t^2+1)(t^3+2)
+    ((-2, -2, -2, 1, 1, 1), "t^2+t+1"),     # (t^2+t+1)(t^3-2)
+])
+def test_extension_rejects_quadratic_factors(modulus, factor):
+    with pytest.raises(ValueError, match=rf"quadratic factor {re.escape(factor)}\)$"):
+        Field.extension(modulus)
+
+
+@pytest.mark.parametrize("modulus", [
+    (1, 0, 0, 0, 1),              # t^4+1
+    (1, 0, -10, 0, 1),            # t^4-10t^2+1, the minimal polynomial of sqrt2+sqrt3
+    (-2, 0, 0, 0, 0, 1),          # t^5-2
+    (-1, -1, 0, 0, 0, 1),         # t^5-t-1
+])
+def test_extension_accepts_irreducible_quartics_and_quintics(modulus):
+    assert Field.extension(modulus).modulus_verified
 
 
 def test_polynomial_ops(Q):

@@ -231,3 +231,21 @@ def test_algebra_error_fails_its_stage(name, monkeypatch):
         list(STAGES[:STAGES.index(name) + 1])
     assert all(s.status == "ok" for s in report.stages[:-1])
     assert report.exit_code == 1
+
+
+def test_quotient_is_built_once(golden_parsed, monkeypatch):
+    from ncquadric import QuadraticPresentation
+
+    real_init = QuadraticPresentation.__init__
+    built = []
+
+    def counting(self, field, generators, relation_vectors):
+        built.append(len(relation_vectors))
+        real_init(self, field, generators, relation_vectors)
+
+    monkeypatch.setattr(QuadraticPresentation, "__init__", counting)
+    report = run_pipeline(golden_parsed, degree=6, seed=0,
+                          stop_after="build-quotient")
+    assert report.stage("build-quotient").status == "ok"
+    # 3 ambient relations plus the central element
+    assert built.count(4) == 1
