@@ -68,6 +68,30 @@ class FiniteDimAlgebra:
         if check:
             self._verify_table()
 
+    @classmethod
+    def of_matrices(cls, field, labels, span, unit):
+        """The algebra a span of square matrices forms under the product.
+
+        Each basis row of the span, and the unit, is a matrix flattened row
+        by row; the basis rows become the algebra basis.  Raises
+        AlgebraError if a product or the unit leaves the span.
+        """
+        size = isqrt(span.ambient_dim)
+        mats = [Matrix(field, [row[i * size:(i + 1) * size]
+                               for i in range(size)], ncols=size)
+                for row in span.basis]
+
+        def coords(vec, what):
+            out = span.coords_of(vec)
+            if out is None:
+                raise AlgebraError(f"{what} leaves the span of the matrices")
+            return out
+
+        structure = [[coords([c for r in (a * b).rows for c in r],
+                             "a product")
+                      for b in mats] for a in mats]
+        return cls(field, labels, structure, coords(list(unit), "the unit"))
+
     def _coerce_scalar(self, c):
         return c if hasattr(c, "field") else self.field.element(c)
 
@@ -129,12 +153,6 @@ class FiniteDimAlgebra:
                     if sk:
                         out[k] = out[k] + cij * sk
         return tuple(out)
-
-    def power(self, a, e):
-        out = self.unit
-        for _ in range(e):
-            out = self.multiply(out, a)
-        return out
 
     def eval_poly(self, poly, a, unit=None):
         """poly(a), with poly's constant term times the given unit."""

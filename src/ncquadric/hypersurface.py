@@ -13,9 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (AlgebraError, NoStableCentral, NotCentral,
-                     NotRegularCertificate, RelationDependence,
-                     UnsupportedDimension)
+from .errors import (NoStableCentral, NotCentral, NotRegularCertificate,
+                     RelationDependence, UnsupportedDimension)
 from .findim import FiniteDimAlgebra
 from .linalg import Matrix, Subspace
 from .modules import ModulePresentation
@@ -35,14 +34,10 @@ class HypersurfaceContext:
         self.regularity = regularity
         self.bound = bound
         self._koszul_cache = None
-        self._quotient_dual = None
-        self._ambient_dual = None
 
     @property
     def quotient_dual(self):
-        if self._quotient_dual is None:
-            self._quotient_dual = self.quotient.quadratic_dual()
-        return self._quotient_dual
+        return self.quotient.quadratic_dual()
 
     @property
     def koszul_cache(self):
@@ -53,9 +48,7 @@ class HypersurfaceContext:
 
     @property
     def ambient_dual(self):
-        if self._ambient_dual is None:
-            self._ambient_dual = self.ambient.quadratic_dual()
-        return self._ambient_dual
+        return self.ambient.quadratic_dual()
 
 
 def build_context(ambient, w, bound=6, regularity=None):
@@ -146,31 +139,13 @@ def end_algebra(ctx):
             eq_rows.append([residues[t][pos] for t in range(m * m)])
     kernel = Matrix(field, eq_rows, ncols=m * m).kernel()
     solution = Subspace.span(field, m * m, kernel.rows)
-    mats = []
-    for row in solution.basis:
-        mats.append(Matrix(field, [[row[j * m + k] for k in range(m)]
-                                   for j in range(m)], ncols=m))
-    ident = Matrix.identity(field, m)
-
-    def vec(mat):
-        return [mat.entry(j, k) for j in range(m) for k in range(m)]
-
-    unit = solution.coords_of(vec(ident))
-    if unit is None:
-        raise AlgebraError("identity endomorphism escaped the solution space")
-    structure = []
-    for a in mats:
-        row = []
-        for b in mats:
-            coords = solution.coords_of(vec(a * b))
-            if coords is None:
-                raise AlgebraError(
-                    "endomorphism solutions are not closed under composition")
-            row.append(coords)
-        structure.append(row)
+    mats = tuple(Matrix(field, [row[j * m:(j + 1) * m] for j in range(m)],
+                        ncols=m) for row in solution.basis)
+    ident = [field.one if j == k else field.zero
+             for j in range(m) for k in range(m)]
     labels = tuple(f"f{k + 1}" for k in range(len(mats)))
-    algebra = FiniteDimAlgebra(field, labels, structure, unit)
-    return EndAlgebraResult(m, solution, tuple(mats), algebra)
+    algebra = FiniteDimAlgebra.of_matrices(field, labels, solution, ident)
+    return EndAlgebraResult(m, solution, mats, algebra)
 
 
 @dataclass(frozen=True)

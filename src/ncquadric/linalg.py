@@ -51,9 +51,6 @@ class Matrix:
     def entry(self, i, j):
         return self.rows[i][j]
 
-    def column(self, j):
-        return [r[j] for r in self.rows]
-
     def transpose(self):
         return Matrix(self.field, [[self.rows[i][j] for i in range(self.nrows)]
                                    for j in range(self.ncols)], ncols=self.nrows)
@@ -77,9 +74,6 @@ class Matrix:
         return Matrix(self.field,
                       [[a - b for a, b in zip(ra, rb)]
                        for ra, rb in zip(self.rows, other.rows)], ncols=self.ncols)
-
-    def __neg__(self):
-        return Matrix(self.field, [[-a for a in r] for r in self.rows], ncols=self.ncols)
 
     def scale(self, c):
         c = _coerce_entry(self.field, c)

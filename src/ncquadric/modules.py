@@ -6,21 +6,23 @@ per generator.  The degree-n piece M_n is the cokernel of the span of the
 relation translates r.w, w a normal word of A_(n-e).  Normal words grow one
 letter at a time (w = w'x_l, as in QuadraticPresentation._build_component),
 so each translate is one generator step from a translate a degree lower;
-only the latest shift of each relation is kept.  Each level also carries a
-table of its basis vectors times each generator, as sparse classes one
-degree up, and the action of the algebra is read off those tables.  On top
-of that sit the operations the hypersurface pipeline needs: idempotent cuts
-of a module, recognition of cyclic quotients A/xA, graded Hom spaces, and
-the degree-zero endomorphism algebra of a list of modules.
+only the latest shift of each relation is kept.  M_n is a GradedPiece, the
+piece type of A_n, with sparse generator tables in the same format, and the
+action of the algebra runs through the table step and word walk that the
+algebra itself uses (quadratic.py).  On top of that sit the operations the
+hypersurface pipeline needs: idempotent cuts of a module, recognition of
+cyclic quotients A/xA, graded Hom spaces, and the degree-zero endomorphism
+algebra of a list of modules, built with FiniteDimAlgebra.of_matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AdditivityViolated, AlgebraError, NotIsolated
+from .errors import AdditivityViolated, NotIsolated
 from .findim import FiniteDimAlgebra
 from .linalg import Matrix, Subspace
+from .quadratic import GradedPiece, generator_step, word_walk
 
 
 @dataclass(frozen=True)
@@ -28,19 +30,6 @@ class ModulePresentation:
     generator_degrees: tuple
     relations: tuple  # pairs (degree, coefficient row)
     # row shapes are validated by GradedModule against a concrete algebra
-
-
-class _Level:
-    __slots__ = ("offsets", "total", "rel_space", "free_cols", "dim",
-                 "gen_mult")
-
-    def __init__(self, offsets, total, rel_space, free_cols):
-        self.offsets = offsets
-        self.total = total
-        self.rel_space = rel_space
-        self.free_cols = free_cols
-        self.dim = len(free_cols)
-        self.gen_mult = None  # built on first use by GradedModule._gen_mult
 
 
 class GradedModule:
@@ -120,10 +109,7 @@ class GradedModule:
                     for k, c in block:
                         out[start + k] = c
                 vectors.append(out)
-        rel_space = Subspace.span(self.field, total, vectors)
-        pivot_set = set(rel_space.pivots)
-        free_cols = tuple(c for c in range(total) if c not in pivot_set)
-        lvl = _Level(offsets, total, rel_space, free_cols)
+        lvl = GradedPiece(Subspace.span(self.field, total, vectors), offsets)
         self._levels[n] = lvl
         return lvl
 
@@ -149,57 +135,35 @@ class GradedModule:
             out[pos] = c
         return out
 
-    def generator_class(self, alpha):
-        d = self.presentation.generator_degrees[alpha]
-        lvl = self.level(d)
-        out = [self.field.zero] * lvl.total
-        start, b = lvl.offsets[alpha]
-        if b == 0:
-            raise AlgebraError("generator block is empty at its own degree")
-        # the generator corresponds to the unit of A_0 inside its block
-        out[start] = self.field.one
-        return self.class_coords(d, out)
-
-    def _gen_mult(self, n):
-        """Per generator l, the class in M_(n+1) of each basis vector of M_n
-        times x_l, as (index, coefficient) pairs; built once per level."""
+    def tables(self, n):
+        """Generator tables of M_n: basis vector times x_l, classed in
+        M_(n+1).  A basis vector sits in one generator block, so its
+        product is a row of the algebra's table placed in that block."""
         lvl = self.level(n)
-        if lvl.gen_mult is not None:
-            return lvl.gen_mult
-        nxt = self.level(n + 1)
-        alg = self.algebra
-        field = self.field
-        tables = []
-        for l in range(alg.gdim):
-            rows = []
-            for pos in lvl.free_cols:
-                for alpha, (start, b) in enumerate(lvl.offsets):
-                    if pos < start + b:  # the block that holds pos
-                        break
-                d = self.presentation.generator_degrees[alpha]
-                out = [field.zero] * nxt.total
-                nstart = nxt.offsets[alpha][0]
-                for k, c in _times_generator(alg, n - d,
-                                             ((pos - start, field.one),), l):
-                    out[nstart + k] = c
-                resid = nxt.rel_space.reduce(out)
-                rows.append(tuple((t, resid[c])
-                                  for t, c in enumerate(nxt.free_cols)
-                                  if resid[c]))
-            tables.append(tuple(rows))
-        lvl.gen_mult = tuple(tables)
+        if lvl.gen_mult is None:
+            nxt = self.level(n + 1)
+            alg = self.algebra
+            degs = self.presentation.generator_degrees
+            tables = []
+            for l in range(alg.gdim):
+                rows = []
+                for pos in lvl.free_cols:
+                    for alpha, (start, b) in enumerate(lvl.offsets):
+                        if pos < start + b:  # the block that holds pos
+                            break
+                    out = [self.field.zero] * nxt.total
+                    nstart = nxt.offsets[alpha][0]
+                    for k, c in alg.tables(n - degs[alpha])[l][pos - start]:
+                        out[nstart + k] = c
+                    rows.append(nxt.sparse_class(out))
+                tables.append(tuple(rows))
+            lvl.gen_mult = tuple(tables)
         return lvl.gen_mult
 
     def mult_by_generator(self, n, coords, l):
         """Class of (element of M_n) * x_l in M_(n+1), from the level table."""
-        table = self._gen_mult(n)[l]
-        out = [self.field.zero] * self.level(n + 1).dim
-        for ci, row in zip(coords, table):
-            if ci:
-                for k, tk in row:
-                    term = ci * tk
-                    out[k] = out[k] + term if out[k] else term
-        return tuple(out)
+        return generator_step(self.tables(n)[l], coords,
+                              self.graded_dim(n + 1), self.field.zero)
 
     def mult_by_element(self, n, coords, k, a_coords):
         """Class of (element of M_n) * (element of A_k).
@@ -207,39 +171,25 @@ class GradedModule:
         Each normal word of A_k acts letter by letter through the generator
         tables of the levels it passes.
         """
-        if k == 0:
-            return tuple(a_coords[0] * c for c in coords)
-        words = self.algebra.basis_words(k)
-        out = [self.field.zero] * self.graded_dim(n + k)
-        for j, aj in enumerate(a_coords):
-            if not aj:
-                continue
-            cur = tuple(coords)
-            level = n
-            for letter in words[j]:
-                cur = self.mult_by_generator(level, cur, letter)
-                level += 1
-            for t, c in enumerate(cur):
-                if c:
-                    out[t] = out[t] + aj * c
-        return tuple(out)
+        return word_walk(self.mult_by_generator, self.algebra.basis_words(k),
+                         n, coords, a_coords, self.graded_dim(n + k),
+                         self.field.zero)
 
 
 def _times_generator(algebra, n, sparse, l):
     """Sparse class of (element of A_n) * x_l in A_(n+1).
 
     Classes are tuples of (index, coefficient) pairs with nonzero
-    coefficients; the step reads the algebra's generator table for A_(n+1).
+    coefficients; the step reads the algebra's generator table of A_n.
     """
     if not sparse:
         return ()
-    table = algebra.component(n + 1).gen_mult[l]
+    table = algebra.tables(n)[l]
     acc = {}
     for i, ci in sparse:
-        for k, tk in enumerate(table[i]):
-            if tk:
-                term = ci * tk
-                acc[k] = acc[k] + term if k in acc else term
+        for k, tk in table[i]:
+            term = ci * tk
+            acc[k] = acc[k] + term if k in acc else term
     return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
 
 
@@ -269,7 +219,6 @@ def idempotent_summand(parent, image, depth=2):
     gens = [tuple(row) for row in image.basis]
     r = len(gens)
     relations = []
-    current = ModulePresentation((0,) * r, ())
     for e in range(1, depth + 1):
         # full kernel of (new free module)_e -> parent_e
         block = alg.graded_dim(e)
@@ -282,15 +231,14 @@ def idempotent_summand(parent, image, depth=2):
         rows = [[cols[c][pos] for c in range(r * block)]
                 for pos in range(parent.graded_dim(e))]
         kernel = Matrix(field, rows, ncols=r * block).kernel()
-        scratch = GradedModule(alg, ModulePresentation((0,) * r,
-                                                       tuple(relations)))
-        span = scratch.level(e).rel_space
+        # a relation of degree e adds only itself to the degree-e span
+        span = GradedModule(alg, ModulePresentation(
+            (0,) * r, tuple(relations))).level(e).rel_space
         for row in kernel.rows:
             if not span.contains(list(row)):
                 relations.append((e, tuple(row)))
-                scratch = GradedModule(alg, ModulePresentation(
-                    (0,) * r, tuple(relations)))
-                span = scratch.level(e).rel_space
+                span = Subspace.span(field, r * block,
+                                     list(span.basis) + [list(row)])
     return ModulePresentation((0,) * r, tuple(relations))
 
 
@@ -556,89 +504,43 @@ def preresolution_table(summand_presentations, algebra, bound):
                       for i in range(count - 1))
     diagonal_dims = tuple(table[i][i][zero_at] for i in range(count - 1))
 
-    # assemble the degree-0 composition algebra; a degree-0 map P_i -> P_j
-    # is a matrix over the generator coordinates, flattened source-major
-    def sizes(i):
-        return len(modules[i].presentation.generator_degrees)
+    # the degree-0 composition algebra: a map P_i -> P_j is the block of
+    # one square matrix over all generator coordinates, in the rows of the
+    # generators of P_j and the columns of those of P_i
+    owner = [i for i, module in enumerate(modules)
+             for _ in module.presentation.generator_degrees]
+    size = len(owner)
+    starts = [owner.index(i) for i in range(count)]
+    blocks = {}
+    for (i, j), space in maps0.items():
+        blocks[(i, j)] = []
+        for images in space:
+            vec = [field.zero] * (size * size)
+            for alpha, img in enumerate(images):
+                for beta, c in enumerate(img):
+                    vec[(starts[j] + beta) * size + starts[i] + alpha] = c
+            blocks[(i, j)].append(vec)
 
-    def mat_to_vec(mat):
-        return [mat.entry(beta, alpha) for alpha in range(mat.ncols)
-                for beta in range(mat.nrows)]
+    def algebra_of(pairs, members):
+        """The algebra of the maps of the given pairs, with the identity
+        of the member modules as its unit."""
+        span = Subspace.span(field, size * size,
+                             [vec for pair in pairs for vec in blocks[pair]])
+        unit = [field.zero] * (size * size)
+        for p in range(size):
+            if owner[p] in members:
+                unit[p * size + p] = field.one
+        names = tuple(f"{labels[owner[p // size]]}<-"
+                      f"{labels[owner[p % size]]}.{t}"
+                      for t, p in enumerate(span.pivots))
+        return FiniteDimAlgebra.of_matrices(field, names, span, unit)
 
-    def vec_to_mat(i, j, row):
-        si, sj = sizes(i), sizes(j)
-        rows = [[row[alpha * sj + beta] for alpha in range(si)]
-                for beta in range(sj)]
-        return Matrix(field, rows, ncols=si)
-
-    basis = []  # (i, j, matrix), matrices canonical per pair
-    pair_spans = {}
-    index_of = {}
-    for i in range(count):
-        for j in range(count):
-            raw = [[c for img in images for c in img]
-                   for images in maps0[(i, j)]]
-            if not raw:
-                continue
-            span = Subspace.span(field, sizes(i) * sizes(j), raw)
-            pair_spans[(i, j)] = span
-            index_of[(i, j)] = []
-            for row in span.basis:
-                index_of[(i, j)].append(len(basis))
-                basis.append((i, j, vec_to_mat(i, j, row)))
-    dim = len(basis)
-
-    def expand(i, j, mat):
-        span = pair_spans.get((i, j))
-        if span is None:
-            raise AlgebraError("composition left the degree-0 Hom table")
-        coords = span.coords_of(mat_to_vec(mat))
-        if coords is None:
-            raise AlgebraError("composition left the degree-0 Hom table")
-        out = [field.zero] * dim
-        for k, t in enumerate(index_of[(i, j)]):
-            out[t] = coords[k]
-        return tuple(out)
-
-    zero_vec = (field.zero,) * dim
-    structure = []
-    for (i1, j1, m1) in basis:
-        row = []
-        for (i2, j2, m2) in basis:
-            # product = first apply the right factor, then the left one
-            if j2 != i1:
-                row.append(zero_vec)
-            else:
-                row.append(expand(i2, j1, m1 * m2))
-        structure.append(row)
-    unit = [field.zero] * dim
-    for i in range(count):
-        s = len(modules[i].presentation.generator_degrees)
-        ident = Matrix.identity(field, s)
-        coords = expand(i, i, ident)
-        unit = [a + b for a, b in zip(unit, coords)]
-    labels_b = tuple(f"{labels[tgt]}<-{labels[src]}.{t}"
-                     for t, (src, tgt, _) in enumerate(basis))
-    b0 = FiniteDimAlgebra(field, labels_b, structure, unit)
-
-    diag_idx = [t for t, (i, j, _) in enumerate(basis)
-                if i == j and i < count - 1]
+    b0 = algebra_of(blocks, range(count))
     diag_ok = True
-    if diag_idx:
-        sub_sc = []
-        for t in diag_idx:
-            sub_sc.append([tuple(structure[t][u][v] for v in diag_idx)
-                           for u in diag_idx])
-        sub_unit = []
-        unit_diag = [field.zero] * dim
-        for i in range(count - 1):
-            s = len(modules[i].presentation.generator_degrees)
-            coords = expand(i, i, Matrix.identity(field, s))
-            unit_diag = [a + b for a, b in zip(unit_diag, coords)]
-        sub_unit = tuple(unit_diag[v] for v in diag_idx)
-        diag_alg = FiniteDimAlgebra(
-            field, tuple(labels_b[t] for t in diag_idx), sub_sc, sub_unit)
-        diag_ok = diag_alg.is_semisimple()
+    if count > 1:
+        summands = range(count - 1)
+        diag_ok = algebra_of([(i, i) for i in summands],
+                             summands).is_semisimple()
     gldim = corner_zero and diag_ok
     return PreresolutionReport(labels, degrees, table, negative_ok,
                                corner_zero, diagonal_dims, diag_ok, b0, gldim)

@@ -2,10 +2,16 @@
 
 A presentation stores the relation subspace R inside V (x) V.  Graded
 components are built degree by degree: A_n is the cokernel of the span of
-u * r placements inside A_(n-1) (x) V, which matches striking the leading
-words of the degree-n ideal component.  Multiplication tables by generators
-come out of the same reduction and drive everything else (Hilbert data,
-centrality tests, regularity certificates, the quadratic dual).
+the translates w.r inside A_(n-1) (x) V, which matches striking the leading
+words of the degree-n ideal component.  A_n and the levels M_n of a module
+(modules.py) are the same GradedPiece type, and each carries sparse
+generator tables: basis vector times x_l as (index, coefficient) pairs one
+degree up.  One table step (generator_step) and one word walk (word_walk)
+act through those tables for the algebra and its modules alike.  The
+classes of all g^n words (word_classes) project tensors onto A_n and give
+the Koszul spaces of the dual (tensors.py).  Everything else rests on
+them: Hilbert data, centrality tests, regularity certificates and the
+quadratic dual.
 """
 
 from __future__ import annotations
@@ -17,15 +23,70 @@ from .errors import RelationDependence
 from .linalg import Matrix, Subspace
 
 
-class _Component:
-    __slots__ = ("dim", "words", "rel_space", "free_cols", "gen_mult")
+class GradedPiece:
+    """One graded piece, A_n of an algebra or M_n of a module.
 
-    def __init__(self, dim, words, rel_space, free_cols, gen_mult):
-        self.dim = dim
-        self.words = words
+    The piece is the cokernel of ``rel_space``, the span of the relation
+    translates inside an ambient coordinate space of size ``total``; the
+    columns off its pivots, ``free_cols``, index the basis of the piece.
+    ``gen_mult[l][i]`` is the class one degree up of basis vector i times
+    x_l, as (index, coefficient) pairs with nonzero coefficients; the owner
+    fills it in on first use.  A_n also lists its normal ``words``; M_n
+    lists the (start, size) ``offsets`` of its generator blocks.
+    """
+
+    __slots__ = ("rel_space", "total", "free_cols", "dim", "gen_mult",
+                 "words", "offsets")
+
+    def __init__(self, rel_space, offsets=None):
+        pivot_set = set(rel_space.pivots)
         self.rel_space = rel_space
-        self.free_cols = free_cols
-        self.gen_mult = gen_mult
+        self.total = rel_space.ambient_dim
+        self.free_cols = tuple(c for c in range(self.total)
+                               if c not in pivot_set)
+        self.dim = len(self.free_cols)
+        self.gen_mult = None
+        self.words = None
+        self.offsets = offsets
+
+    def sparse_class(self, vector):
+        """Class of an ambient vector, as (index, coefficient) pairs."""
+        resid = self.rel_space.reduce(vector)
+        return tuple((t, resid[c]) for t, c in enumerate(self.free_cols)
+                     if resid[c])
+
+
+def generator_step(table, coords, dim, zero):
+    """Dense class of sum_i coords[i] * table[i] in a piece of size dim."""
+    out = [zero] * dim
+    for ci, row in zip(coords, table):
+        if ci:
+            for k, tk in row:
+                term = ci * tk
+                out[k] = out[k] + term if out[k] else term
+    return tuple(out)
+
+
+def word_walk(step, words, n, coords, a_coords, dim, zero):
+    """Class of (element of degree n) * (element with word coordinates).
+
+    Each word with a nonzero coefficient acts letter by letter through
+    step(degree, coords, letter); the results are summed in a piece of
+    size dim.
+    """
+    out = [zero] * dim
+    for j, aj in enumerate(a_coords):
+        if not aj:
+            continue
+        cur = tuple(coords)
+        level = n
+        for letter in words[j]:
+            cur = step(level, cur, letter)
+            level += 1
+        for t, c in enumerate(cur):
+            if c:
+                out[t] = out[t] + aj * c
+    return tuple(out)
 
 
 class QuadraticPresentation:
@@ -49,6 +110,8 @@ class QuadraticPresentation:
                 "relation list is linearly dependent")
         self.relation_space = span
         self._components = {}
+        self._word_classes = (0, [(field.one,)])
+        self._dual = None
 
     # -- graded components -------------------------------------------------
 
@@ -56,53 +119,62 @@ class QuadraticPresentation:
         if n < 0:
             raise ValueError("negative degree")
         comp = self._components.get(n)
-        if comp is not None:
-            return comp
-        if n == 0:
-            comp = _Component(1, ((),), None, None, None)
-        else:
+        if comp is None:
             comp = self._build_component(n)
-        self._components[n] = comp
+            self._components[n] = comp
         return comp
 
     def _build_component(self, n):
+        """A_n as A_(n-1) (x) V modulo the translates w.r, r a relation and
+        w a normal word of A_(n-2), read off the tables of A_(n-2)."""
+        field = self.field
+        if n == 0:
+            comp = GradedPiece(Subspace.zero(field, 1))
+            comp.words = ((),)
+            return comp
         g = self.gdim
         prev = self.component(n - 1)
         ambient = prev.dim * g
-        field = self.field
         if n == 1 or prev.dim == 0:
             rel_space = Subspace.zero(field, ambient)
         else:
-            below = self.component(n - 2)
+            below = self.tables(n - 2)
             rel_rows = self.relation_space.basis
             vectors = []
-            for j in range(below.dim):
+            for j in range(self.graded_dim(n - 2)):
                 for r in rel_rows:
                     vec = [field.zero] * ambient
                     for k in range(g):
-                        cls = prev.gen_mult[k][j]
+                        cls = below[k][j]
                         for l in range(g):
                             c = r[k * g + l]
                             if c:
-                                for i, ci in enumerate(cls):
-                                    if ci:
-                                        vec[i * g + l] = vec[i * g + l] + c * ci
+                                for i, ci in cls:
+                                    vec[i * g + l] = vec[i * g + l] + c * ci
                     vectors.append(vec)
             rel_space = Subspace.span(field, ambient, vectors)
-        pivot_set = set(rel_space.pivots)
-        free_cols = tuple(c for c in range(ambient) if c not in pivot_set)
-        words = tuple(prev.words[c // g] + (c % g,) for c in free_cols)
-        dim = len(free_cols)
-        gen_mult = []
-        for l in range(g):
-            cols = []
-            for i in range(prev.dim):
-                vec = [field.zero] * ambient
-                vec[i * g + l] = field.one
-                resid = rel_space.reduce(vec)
-                cols.append(tuple(resid[c] for c in free_cols))
-            gen_mult.append(tuple(cols))
-        return _Component(dim, words, rel_space, free_cols, tuple(gen_mult))
+        comp = GradedPiece(rel_space)
+        comp.words = tuple(prev.words[c // g] + (c % g,)
+                           for c in comp.free_cols)
+        return comp
+
+    def tables(self, n):
+        """Generator tables of A_n: basis word times x_l, classed in A_(n+1)."""
+        comp = self.component(n)
+        if comp.gen_mult is None:
+            nxt = self.component(n + 1)
+            field = self.field
+            g = self.gdim
+            tables = []
+            for l in range(g):
+                rows = []
+                for i in range(comp.dim):
+                    vec = [field.zero] * nxt.total
+                    vec[i * g + l] = field.one
+                    rows.append(nxt.sparse_class(vec))
+                tables.append(tuple(rows))
+            comp.gen_mult = tuple(tables)
+        return comp.gen_mult
 
     def graded_dim(self, n):
         if n < 0:
@@ -119,65 +191,55 @@ class QuadraticPresentation:
 
     def mult_by_generator(self, n, coords, l):
         """Class of (element of A_n) * x_l in A_(n+1)."""
-        comp = self.component(n + 1)
-        out = [self.field.zero] * comp.dim
-        table = comp.gen_mult[l]
-        for i, ci in enumerate(coords):
-            if ci:
-                for k, tk in enumerate(table[i]):
-                    if tk:
-                        term = ci * tk
-                        out[k] = out[k] + term if out[k] else term
-        return tuple(out)
+        return generator_step(self.tables(n)[l], coords,
+                              self.graded_dim(n + 1), self.field.zero)
 
     def multiply(self, m, a_coords, n, b_coords):
         """Product A_m x A_n -> A_(m+n) on class coordinates."""
-        words = self.component(n).words
-        out = [self.field.zero] * self.graded_dim(m + n)
-        for j, bj in enumerate(b_coords):
-            if not bj:
-                continue
-            cur = tuple(a_coords)
-            level = m
-            for letter in words[j]:
-                cur = self.mult_by_generator(level, cur, letter)
-                level += 1
-            for k, ck in enumerate(cur):
-                if ck:
-                    out[k] = out[k] + bj * ck
-        return tuple(out)
+        return word_walk(self.mult_by_generator, self.basis_words(n), m,
+                         a_coords, b_coords, self.graded_dim(m + n),
+                         self.field.zero)
+
+    def word_classes(self, n):
+        """Classes in A_n of all g^n words, in lexicographic word order.
+
+        Built one letter at a time from the words of degree n-1; only the
+        highest degree built so far is kept, and a lower degree starts over
+        from the empty word.
+        """
+        built, classes = self._word_classes
+        if built > n:
+            built, classes = 0, [(self.field.one,)]
+        for k in range(built, n):
+            classes = [self.mult_by_generator(k, cls, l)
+                       for cls in classes for l in range(self.gdim)]
+        self._word_classes = (n, classes)
+        return classes
 
     def project(self, n, vector):
         """Class in A_n of an ambient tensor vector of V^(x)n."""
-        if n == 0:
-            return (self.field.element(vector[0])
-                    if not hasattr(vector[0], "field") else vector[0],)
-        if n == 1:
-            return tuple(vector)
-        g = self.gdim
-        block = g ** (n - 1)
         out = [self.field.zero] * self.graded_dim(n)
-        for l in range(g):
-            slice_l = [vector[p * g + l] for p in range(block)]
-            if all(not c for c in slice_l):
-                continue
-            cls = self.project(n - 1, slice_l)
-            stepped = self.mult_by_generator(n - 1, cls, l)
-            for k, ck in enumerate(stepped):
-                if ck:
-                    out[k] = out[k] + ck
+        for c, cls in zip(vector, self.word_classes(n)):
+            if c:
+                for k, ck in enumerate(cls):
+                    if ck:
+                        out[k] = out[k] + c * ck
         return tuple(out)
 
     # -- derived structure -------------------------------------------------
 
     def quadratic_dual(self):
-        """T(V*)/(R^perp) with the coordinatewise pairing on V (x) V."""
-        g = self.gdim
-        rows = [list(r) for r in self.relation_space.basis]
-        mat = Matrix(self.field, rows, ncols=g * g)
-        perp = mat.kernel()
-        names = tuple(name + "*" for name in self.generators)
-        return QuadraticPresentation(self.field, names, perp.rows)
+        """T(V*)/(R^perp) with the coordinatewise pairing on V (x) V.
+
+        Built once per presentation; later calls return the same object.
+        """
+        if self._dual is None:
+            g = self.gdim
+            rows = [list(r) for r in self.relation_space.basis]
+            perp = Matrix(self.field, rows, ncols=g * g).kernel()
+            names = tuple(name + "*" for name in self.generators)
+            self._dual = QuadraticPresentation(self.field, names, perp.rows)
+        return self._dual
 
     def is_central_deg2(self, w):
         """Does w (x) v - v (x) w vanish in A_3 for every generator v?"""

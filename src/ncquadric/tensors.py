@@ -3,7 +3,8 @@
 Words over g generators index the coordinates of V^(x)n lexicographically
 with the leftmost factor most significant.  In that ordering the Koszul
 space C_n is the annihilator of I^!_n, the degree-n part of the ideal of
-the quadratic dual, read off the dual's multiplication tables.
+the quadratic dual, read off the classes of the words in the dual
+(QuadraticPresentation.word_classes).
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from .linalg import Matrix, Subspace
 from .quadratic import QuadraticPresentation
 
 KOSZUL_DUAL = "dual"
-_CLASSES = "classes"
 
 
 def word_index(word, g):
@@ -31,9 +31,9 @@ def koszul_space(rel, n, g, cache=None):
     space of the class map V^(x)n -> A^!_n, whose column at a word is the
     class of that word in the quadratic dual A^! = T(V*)/(R^perp)
     (Polishchuk-Positselski, Quadratic Algebras, ch. 1).  C_0 is the scalar
-    line, C_1 the full generator space, C_2 the relations.  The cache keeps
-    the dual (under KOSZUL_DUAL) and the word classes of the highest degree
-    built so far next to the spaces themselves.
+    line, C_1 the full generator space, C_2 the relations.  The word
+    classes come from QuadraticPresentation.word_classes of the dual, which
+    the cache keeps under KOSZUL_DUAL next to the spaces themselves.
     """
     if n < 0:
         raise ValueError("negative tensor degree")
@@ -54,16 +54,8 @@ def koszul_space(rel, n, g, cache=None):
             dual = QuadraticPresentation(rel.field, names,
                                          rel.basis).quadratic_dual()
             cache[KOSZUL_DUAL] = dual
-        start = (0, [(rel.field.one,)])
-        built, classes = cache.get(_CLASSES, start)
-        if built > n:
-            built, classes = start
-        for k in range(built, n):
-            classes = [dual.mult_by_generator(k, cls, l)
-                       for cls in classes for l in range(g)]
-        cache[_CLASSES] = (n, classes)
         out = Subspace.span(rel.field, g ** n,
-                            [list(row) for row in zip(*classes)])
+                            [list(row) for row in zip(*dual.word_classes(n))])
     cache[n] = out
     return out
 

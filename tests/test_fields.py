@@ -174,3 +174,30 @@ def test_parse_field_spec():
 def test_parse_int_poly():
     assert parse_int_poly("t^2-2") == (-2, 0, 1)
     assert parse_int_poly("t^3+t-1") == (-1, 1, 0, 1)
+
+
+def roots_coords(p):
+    rs = roots_in_field(p)
+    return rs.complete, [r.coords for r in rs.roots]
+
+
+def test_quadratic_extension_square_root_with_a_t_part():
+    # (1 + t)^2 = 3 + 2t in Q[t]/(t^2 - 2)
+    F = Field.extension((-2, 0, 1))
+    p = Polynomial(F, [-F.element((3, 2)), F.zero, F.one])
+    assert roots_coords(p) == (True, [(-1, -1), (1, 1)])
+
+
+def test_quadratic_extension_product_of_linear_factors():
+    # (x - (1 + 2t))(x - (3 - t)) over Q[t]/(t^2 + t + 1)
+    F = Field.extension((1, 1, 1))
+    r1, r2 = F.element((1, 2)), F.element((3, -1))
+    p = Polynomial(F, [-r1, F.one]) * Polynomial(F, [-r2, F.one])
+    assert roots_coords(p) == (True, [r1.coords, r2.coords])
+
+
+def test_quadratic_extension_non_square_with_a_t_part():
+    # 1 + t is not a square in Q[t]/(t^2 + t + 1)
+    F = Field.extension((1, 1, 1))
+    p = Polynomial(F, [-F.element((1, 1)), F.zero, F.one])
+    assert roots_coords(p) == (True, [])

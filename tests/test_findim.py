@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from ncquadric import AlgebraError, Field, FiniteDimAlgebra, NonSplit, \
-    NotSemisimple, Polynomial, SmallRng
+    NotSemisimple, Polynomial, SmallRng, Subspace
 
 from helpers import right_mult_matrix
 
@@ -215,3 +215,39 @@ def test_left_right_mult_matrices(Q):
     assert list(lm.apply(list(b))) == list(m2.multiply(a, b))
     rm = right_mult_matrix(m2, a)
     assert list(rm.apply(list(b))) == list(m2.multiply(b, a))
+
+
+def flat_span(field, matrices):
+    """Span of square integer matrices, each flattened row by row."""
+    return Subspace.span(field, len(matrices[0]) ** 2,
+                         [[field.from_rational(c) for row in m for c in row]
+                          for m in matrices])
+
+
+def test_of_matrices_upper_triangular(Q):
+    span = flat_span(Q, [((1, 0), (0, 0)), ((0, 1), (0, 0)),
+                         ((0, 0), (0, 1))])
+    unit = [Q.one, Q.zero, Q.zero, Q.one]
+    alg = FiniteDimAlgebra.of_matrices(Q, ("e11", "e12", "e22"), span, unit)
+    assert alg.dim == 3
+    assert alg.radical().dim == 1
+    e11, e12, e22 = (alg.basis_vector(i) for i in range(3))
+    assert alg.multiply(e11, e12) == alg.multiply(e12, e22) == e12
+    assert not any(alg.multiply(e12, e11))
+    assert not any(alg.multiply(e12, e12))
+
+
+def test_of_matrices_rejects_a_span_not_closed_under_the_product(Q):
+    # e12 * e21 = e11 is not in the span of e12, e21 and the identity
+    span = flat_span(Q, [((0, 1), (0, 0)), ((0, 0), (1, 0)),
+                         ((1, 0), (0, 1))])
+    with pytest.raises(AlgebraError):
+        FiniteDimAlgebra.of_matrices(Q, ("a", "b", "c"), span,
+                                     [Q.one, Q.zero, Q.zero, Q.one])
+
+
+def test_of_matrices_rejects_a_unit_outside_the_span(Q):
+    span = flat_span(Q, [((1, 0), (0, 0))])
+    with pytest.raises(AlgebraError):
+        FiniteDimAlgebra.of_matrices(Q, ("e11",), span,
+                                     [Q.one, Q.zero, Q.zero, Q.one])

@@ -176,3 +176,21 @@ def test_dual_hilbert_stabilizes(golden_ctx):
     assert [adual.graded_dim(n) for n in range(7)] == [1, 3, 4, 4, 4, 4, 4]
     sdual = golden_ctx.ambient_dual
     assert [sdual.graded_dim(n) for n in range(5)] == [1, 3, 3, 1, 0]
+
+
+def test_end_algebra_structure_is_the_matrix_product(golden_ctx, golden_end):
+    field = golden_ctx.quotient.field
+    sol = golden_end.solution
+    mats = golden_end.basis_matrices
+    m = golden_end.matrix_dim
+    assert [[c for row in f.rows for c in row] for f in mats] == \
+        [list(row) for row in sol.basis]
+
+    def coords(f):
+        return tuple(sol.coords_of([c for row in f.rows for c in row]))
+
+    assert golden_end.algebra.structure == tuple(
+        tuple(coords(a * b) for b in mats) for a in mats)
+    ident = [field.one if j == k else field.zero
+             for j in range(m) for k in range(m)]
+    assert golden_end.algebra.unit == tuple(sol.coords_of(ident))

@@ -249,3 +249,21 @@ def test_quotient_is_built_once(golden_parsed, monkeypatch):
     assert report.stage("build-quotient").status == "ok"
     # 3 ambient relations plus the central element
     assert built.count(4) == 1
+
+
+def test_ambient_dual_is_built_once(golden_parsed, monkeypatch):
+    from ncquadric import QuadraticPresentation
+
+    real_init = QuadraticPresentation.__init__
+    built = []
+
+    def counting(self, field, generators, relation_vectors):
+        built.append(len(relation_vectors))
+        real_init(self, field, generators, relation_vectors)
+
+    monkeypatch.setattr(QuadraticPresentation, "__init__", counting)
+    report = run_pipeline(golden_parsed, degree=6, seed=0)
+    assert report.exit_code == 0
+    # S^! has 9 - 3 = 6 relations; the qp-certificate and dual-hilbert
+    # stages read the same one
+    assert built.count(6) == 1
