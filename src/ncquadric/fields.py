@@ -146,22 +146,73 @@ def _int_divides(low, m):
 
 
 def _divisors(n):
-    n = abs(n)
-    if n == 0:
-        return [1]
-    out = set()
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.add(d)
-            out.add(n // d)
-        d += 1
+    """The positive divisors of n in increasing order ([1] for n = 0)."""
+    out = [1]
+    for p, e in _factor_int(abs(n)).items() if n else ():
+        out = [d * p ** k for d in out for k in range(e + 1)]
     return sorted(out)
 
 
-def _factor_int(n):
-    """Trial-division factorization of n >= 1 as {prime: exponent}."""
-    out = {}
+# Miller-Rabin with the primes up to 41 as bases decides primality exactly
+# below this bound (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
+def _is_prime(n):
+    """Deterministic Miller-Rabin primality test for 2 <= n < _MR_BOUND."""
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d = n - 1
+    s = 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n):
+    """A proper factor of an odd composite n without prime factors below
+    _MR_BASES[-1]: Brent's cycle search on x^2 + c, c = 1, 2, ...,
+    with batched gcds (Brent, BIT 20 (1980) 176-184)."""
+    for c in range(1, n):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+    raise AssertionError("no factor found for a composite")
+
+
+def _trial_factor(n, out):
+    """Add the factorization of n >= 1 to out by trial division."""
     d = 2
     while d * d <= n:
         while n % d == 0:
@@ -170,7 +221,37 @@ def _factor_int(n):
         d += 1 if d == 2 else 2
     if n > 1:
         out[n] = out.get(n, 0) + 1
-    return out
+
+
+def _factor_int(n):
+    """Factorization of n >= 1 as {prime: exponent}, primes increasing.
+
+    Primes up to 41 are divided out first and squares are split into
+    their roots; a cofactor below _MR_BOUND is split with Pollard-Brent
+    until Miller-Rabin proves each part prime, and one above it by trial
+    division, so every factor is proved prime.
+    """
+    out = {}
+    for p in _MR_BASES:
+        while n % p == 0:
+            out[p] = out.get(p, 0) + 1
+            n //= p
+    parts = [n] if n > 1 else []
+    while parts:
+        m = parts.pop()
+        root = isqrt(m)
+        if root * root == m:
+            # squares (norms of rational Gaussian primes) would cost rho
+            # about sqrt(root) steps
+            parts += [root, root]
+        elif m >= _MR_BOUND:
+            _trial_factor(m, out)
+        elif _is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _pollard_brent(m)
+            parts += [f, m // f]
+    return dict(sorted(out.items()))
 
 
 # --- Gaussian integer helpers: pairs (a, b) meaning a + b*i ---
@@ -219,13 +300,7 @@ def _gs_prime_factors(x):
         elif p % 4 == 3:
             cands = [(p, 0)]
         else:
-            a = 1
-            while True:
-                b2 = p - a * a
-                b = isqrt(b2)
-                if b * b == b2:
-                    break
-                a += 1
+            a, b = _two_squares(p)
             cands = [_gs_canonical((a, b)), _gs_canonical((a, -b))]
         for pi in cands:
             while True:
@@ -236,6 +311,19 @@ def _gs_prime_factors(x):
                 else:
                     break
     return out
+
+
+def _two_squares(p):
+    """(a, b) with a^2 + b^2 = p for a prime p = 1 mod 4 (Hermite-Serret):
+    the Euclidean remainders of p and a square root of -1 mod p drop below
+    sqrt(p) at a."""
+    q = 2
+    while pow(q, (p - 1) // 2, p) != p - 1:
+        q += 1
+    a, b = p, pow(q, (p - 1) // 4, p)
+    while b * b > p:
+        a, b = b, a % b
+    return b, isqrt(p - b * b)
 
 
 def _gs_divisors(x):

@@ -65,6 +65,7 @@ class FiniteDimAlgebra:
             raise ValueError("unit vector shape mismatch")
         self._radical = None
         self._basis_left = None
+        self._central = {}  # seed -> central primitive idempotents
         if check:
             self._verify_table()
 
@@ -213,11 +214,7 @@ class FiniteDimAlgebra:
         return FiniteDimAlgebra(self.field, labels, sc, project(self.unit))
 
     def center(self):
-        return self._commutant(self.full_subspace())
-
-    def full_subspace(self):
-        basis = tuple(self.basis_vector(i) for i in range(self.dim))
-        return Subspace(self.field, self.dim, basis, tuple(range(self.dim)))
+        return self._commutant(Subspace.full(self.field, self.dim))
 
     def _commutant(self, block):
         """Elements of the block commuting with every block basis element."""
@@ -272,8 +269,17 @@ class FiniteDimAlgebra:
         """Orthogonal central idempotents with simple block centers.
 
         Raises NonSplit when the ground field misses eigenvalues, carrying
-        the partial orthogonal decomposition found so far.
+        the partial orthogonal decomposition found so far.  A split is
+        computed once per seed and handed out as a fresh list; a NonSplit
+        is not kept, so asking again raises it again.
         """
+        done = self._central.get(seed)
+        if done is None:
+            done = self._split_center(seed)
+            self._central[seed] = done
+        return list(done)
+
+    def _split_center(self, seed):
         rng = SmallRng(seed)
         work = [tuple(self.unit)]
         done = []

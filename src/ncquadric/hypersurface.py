@@ -123,21 +123,23 @@ def end_algebra(ctx):
                               ctx.koszul_cache)
     m = koszul_component(ctx, ctx.d).dim
     ambient = m * g
-    target = Subspace.span(field, ambient, [list(r) for r in trans.rows])
+    target = Subspace._span_sparse(field, ambient, trans.sparse)
     eq_rows = []
-    for x_row in trans.rows:
-        residues = []
+    for x_row in trans.sparse:
+        # the unknown F[j][i] moves the entries of block i into block j
+        blocks = [{} for _ in range(m)]
+        for q, c in x_row.items():
+            i, l = divmod(q, g)
+            blocks[i][l] = c
+        conditions = [{} for _ in range(ambient)]
         for j in range(m):
             for i in range(m):
-                shifted = [field.zero] * ambient
-                for l in range(g):
-                    c = x_row[i * g + l]
-                    if c:
-                        shifted[j * g + l] = c
-                residues.append(target.reduce(shifted))
-        for pos in range(ambient):
-            eq_rows.append([residues[t][pos] for t in range(m * m)])
-    kernel = Matrix(field, eq_rows, ncols=m * m).kernel()
+                shifted = {j * g + l: c for l, c in blocks[i].items()}
+                target.reduce_sparse(shifted)
+                for pos, x in shifted.items():
+                    conditions[pos][j * m + i] = x
+        eq_rows.extend(conditions)
+    kernel = Matrix._from_sparse(field, eq_rows, m * m).kernel()
     solution = Subspace.span(field, m * m, kernel.rows)
     mats = tuple(Matrix(field, [row[j * m:(j + 1) * m] for j in range(m)],
                         ncols=m) for row in solution.basis)

@@ -6,13 +6,17 @@ per generator.  The degree-n piece M_n is the cokernel of the span of the
 relation translates r.w, w a normal word of A_(n-e).  Normal words grow one
 letter at a time (w = w'x_l, as in QuadraticPresentation._build_component),
 so each translate is one generator step from a translate a degree lower;
-only the latest shift of each relation is kept.  M_n is a GradedPiece, the
-piece type of A_n, with sparse generator tables in the same format, and the
-action of the algebra runs through the table step and word walk that the
-algebra itself uses (quadratic.py).  On top of that sit the operations the
-hypersurface pipeline needs: idempotent cuts of a module, recognition of
-cyclic quotients A/xA, graded Hom spaces, and the degree-zero endomorphism
-algebra of a list of modules, built with FiniteDimAlgebra.of_matrices.
+only the latest shift of each relation is kept, and the translates go to
+the elimination as sparse rows.  M_n is a GradedPiece, the piece type of
+A_n, with sparse generator tables in the same format, and the action of
+the algebra runs through the table step and word walk that the algebra
+itself uses (quadratic.py).  The matrix of right multiplication by an
+element of A (GradedModule.right_action) is a sparse product of those
+tables.  On top of that sit the operations the hypersurface pipeline
+needs: idempotent cuts of a module, recognition of cyclic quotients A/xA,
+graded Hom spaces (the kernel of sparse right_action rows), and the
+degree-zero endomorphism algebra of a list of modules, built with
+FiniteDimAlgebra.of_matrices.
 """
 
 from __future__ import annotations
@@ -21,8 +25,8 @@ from dataclasses import dataclass
 
 from .errors import AdditivityViolated, NotIsolated
 from .findim import FiniteDimAlgebra
-from .linalg import Matrix, Subspace
-from .quadratic import GradedPiece, generator_step, word_walk
+from .linalg import Matrix, Subspace, add_multiple, sparse_row
+from .quadratic import GradedPiece, dense_class, generator_step, word_walk
 
 
 @dataclass(frozen=True)
@@ -72,8 +76,8 @@ class GradedModule:
         have = self._frontier.get(idx)
         if have is None or have[0] > shift:
             src_offsets, _ = self._free_offsets(e)
-            have = (0, [tuple(tuple((k, c) for k, c in
-                                    enumerate(vec[s:s + b]) if c)
+            have = (0, [tuple(tuple(sparse_row(self.field,
+                                               vec[s:s + b]).items())
                               for s, b in src_offsets)])
         s, rows = have
         alg = self.algebra
@@ -98,18 +102,16 @@ class GradedModule:
         if lvl is not None:
             return lvl
         offsets, total = self._free_offsets(n)
-        zero = self.field.zero
         vectors = []
         for idx, (e, _) in enumerate(self.presentation.relations):
             if e > n:
                 continue
             for blocks in self._translates(idx, n - e):
-                out = [zero] * total
-                for (start, _), block in zip(offsets, blocks):
-                    for k, c in block:
-                        out[start + k] = c
-                vectors.append(out)
-        lvl = GradedPiece(Subspace.span(self.field, total, vectors), offsets)
+                vectors.append({start + k: c
+                                for (start, _), block in zip(offsets, blocks)
+                                for k, c in block})
+        lvl = GradedPiece(Subspace._span_sparse(self.field, total, vectors),
+                          offsets)
         self._levels[n] = lvl
         return lvl
 
@@ -151,19 +153,19 @@ class GradedModule:
                     for alpha, (start, b) in enumerate(lvl.offsets):
                         if pos < start + b:  # the block that holds pos
                             break
-                    out = [self.field.zero] * nxt.total
                     nstart = nxt.offsets[alpha][0]
-                    for k, c in alg.tables(n - degs[alpha])[l][pos - start]:
-                        out[nstart + k] = c
-                    rows.append(nxt.sparse_class(out))
+                    rows.append(nxt.sparse_class(
+                        {nstart + k: c for k, c in
+                         alg.tables(n - degs[alpha])[l][pos - start]}))
                 tables.append(tuple(rows))
             lvl.gen_mult = tuple(tables)
         return lvl.gen_mult
 
     def mult_by_generator(self, n, coords, l):
         """Class of (element of M_n) * x_l in M_(n+1), from the level table."""
-        return generator_step(self.tables(n)[l], coords,
-                              self.graded_dim(n + 1), self.field.zero)
+        step = generator_step(self.tables(n)[l],
+                              [(i, c) for i, c in enumerate(coords) if c])
+        return dense_class(step, self.graded_dim(n + 1), self.field.zero)
 
     def mult_by_element(self, n, coords, k, a_coords):
         """Class of (element of M_n) * (element of A_k).
@@ -171,26 +173,44 @@ class GradedModule:
         Each normal word of A_k acts letter by letter through the generator
         tables of the levels it passes.
         """
-        return word_walk(self.mult_by_generator, self.algebra.basis_words(k),
+        return word_walk(self.tables, self.algebra.basis_words(k),
                          n, coords, a_coords, self.graded_dim(n + k),
                          self.field.zero)
 
+    def right_action(self, n, terms):
+        """Matrix of x -> x * a on M_n, for a = sum of c * w over the
+        (word, c) pairs of terms, all words of one length k and c nonzero.
+
+        Row i is the class in M_(n+k) of basis vector i times a, as a dict
+        {index: nonzero coefficient}.  Words are grouped by their first
+        letter l, and each group adds the product of the level table of
+        x_l with the matrix of the rest of its words one level up: a
+        degree-1 element is a combination of table rows, and each further
+        letter costs one more sparse table product.
+        """
+        dim = self.graded_dim(n)
+        if not terms[0][0]:
+            c = terms[0][1]
+            return [{i: c} for i in range(dim)]
+        groups = {}
+        for word, c in terms:
+            groups.setdefault(word[0], []).append((word[1:], c))
+        rows = [{} for _ in range(dim)]
+        if not dim:
+            return rows
+        tables = self.tables(n)
+        for l, rest in groups.items():
+            inner = self.right_action(n + 1, rest)
+            for row, image in zip(rows, tables[l]):
+                for k, t in image:
+                    add_multiple(row, t, inner[k])
+        return rows
+
 
 def _times_generator(algebra, n, sparse, l):
-    """Sparse class of (element of A_n) * x_l in A_(n+1).
-
-    Classes are tuples of (index, coefficient) pairs with nonzero
-    coefficients; the step reads the algebra's generator table of A_n.
-    """
-    if not sparse:
-        return ()
-    table = algebra.tables(n)[l]
-    acc = {}
-    for i, ci in sparse:
-        for k, tk in table[i]:
-            term = ci * tk
-            acc[k] = acc[k] + term if k in acc else term
-    return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
+    """Sparse class of (element of A_n) * x_l in A_(n+1), read off the
+    algebra's generator table of A_n."""
+    return generator_step(algebra.tables(n)[l], sparse) if sparse else ()
 
 
 def free_module(algebra):
@@ -406,45 +426,46 @@ def syzygy_shift_evidence(parent, classification, algebra, bound,
 
 
 def hom_space(P, Q, n):
-    """Basis of degree-n module maps P -> Q, as generator image tuples."""
+    """Basis of degree-n module maps P -> Q, as generator image tuples.
+
+    A map sends generator alpha of P (degree d) to an element of Q_(d+n);
+    a relation sum_alpha g_alpha a_alpha of degree e asks that the images
+    times the a_alpha sum to zero in Q_(e+n).  Each a_alpha acts through
+    Q.right_action, so the conditions are sparse rows, and the maps are
+    the kernel of all of them.
+    """
     field = Q.field
     alg = Q.algebra
     if alg is not P.algebra:
         raise ValueError("hom requires modules over the same algebra")
-    blocks = []
+    degrees = P.presentation.generator_degrees
     offsets = []
     pos = 0
-    for d in P.presentation.generator_degrees:
+    for d in degrees:
         b = Q.graded_dim(d + n)
         offsets.append((pos, b))
-        blocks.append(b)
         pos += b
     total = pos
     rows = []
     for e, vec in P.presentation.relations:
-        tgt = Q.graded_dim(e + n)
+        conditions = [{} for _ in range(Q.graded_dim(e + n))]
         src_offsets, _ = P._free_offsets(e)
-        cols = [[field.zero] * tgt for _ in range(total)]
-        for alpha, d in enumerate(P.presentation.generator_degrees):
-            start, b = src_offsets[alpha]
-            coeffs = vec[start:start + b]
-            if not any(coeffs):
+        for (start, b), (ostart, ob), d in zip(src_offsets, offsets, degrees):
+            coeffs = sparse_row(field, vec[start:start + b])
+            if not coeffs or not ob:
                 continue
-            ostart, ob = offsets[alpha]
-            for j in range(ob):
-                unit = tuple(field.one if t == j else field.zero
-                             for t in range(ob))
-                img = Q.mult_by_element(d + n, unit, e - d, coeffs)
-                cols[ostart + j] = list(img)
-        for p in range(tgt):
-            rows.append([cols[c][p] for c in range(total)])
-    kernel = Matrix(field, rows, ncols=total).kernel()
+            words = alg.basis_words(e - d)
+            action = Q.right_action(d + n, [(words[j], c)
+                                            for j, c in coeffs.items()])
+            for j, image in enumerate(action):
+                for p, x in image.items():
+                    conditions[p][ostart + j] = x
+        rows.extend(conditions)
+    kernel = Matrix._from_sparse(field, rows, total).kernel()
     maps = []
     for row in kernel.rows:
-        images = []
-        for (start, b) in offsets:
-            images.append(tuple(row[start:start + b]))
-        maps.append(tuple(images))
+        maps.append(tuple(tuple(row[start:start + b])
+                          for start, b in offsets))
     return tuple(maps)
 
 

@@ -3,15 +3,18 @@
 A presentation stores the relation subspace R inside V (x) V.  Graded
 components are built degree by degree: A_n is the cokernel of the span of
 the translates w.r inside A_(n-1) (x) V, which matches striking the leading
-words of the degree-n ideal component.  A_n and the levels M_n of a module
+words of the degree-n ideal component.  The translates are built as sparse
+rows and handed to the elimination through the trusted constructor
+Subspace._span_sparse (linalg.py).  A_n and the levels M_n of a module
 (modules.py) are the same GradedPiece type, and each carries sparse
 generator tables: basis vector times x_l as (index, coefficient) pairs one
 degree up.  One table step (generator_step) and one word walk (word_walk)
-act through those tables for the algebra and its modules alike.  The
-classes of all g^n words (word_classes) project tensors onto A_n and give
-the Koszul spaces of the dual (tensors.py).  Everything else rests on
-them: Hilbert data, centrality tests, regularity certificates and the
-quadratic dual.
+act through those tables for the algebra and its modules alike, on the
+nonzero coordinates only; the public products take and return dense
+coordinate tuples.  The classes of all g^n words (word_classes, sparse)
+project tensors onto A_n and give the Koszul spaces of the dual
+(tensors.py).  Everything else rests on them: Hilbert data, centrality
+tests, regularity certificates and the quadratic dual.
 """
 
 from __future__ import annotations
@@ -28,15 +31,16 @@ class GradedPiece:
 
     The piece is the cokernel of ``rel_space``, the span of the relation
     translates inside an ambient coordinate space of size ``total``; the
-    columns off its pivots, ``free_cols``, index the basis of the piece.
+    columns off its pivots, ``free_cols``, index the basis of the piece,
+    and ``free_index`` maps each back to its basis index.
     ``gen_mult[l][i]`` is the class one degree up of basis vector i times
     x_l, as (index, coefficient) pairs with nonzero coefficients; the owner
     fills it in on first use.  A_n also lists its normal ``words``; M_n
     lists the (start, size) ``offsets`` of its generator blocks.
     """
 
-    __slots__ = ("rel_space", "total", "free_cols", "dim", "gen_mult",
-                 "words", "offsets")
+    __slots__ = ("rel_space", "total", "free_cols", "free_index", "dim",
+                 "gen_mult", "words", "offsets")
 
     def __init__(self, rel_space, offsets=None):
         pivot_set = set(rel_space.pivots)
@@ -44,48 +48,59 @@ class GradedPiece:
         self.total = rel_space.ambient_dim
         self.free_cols = tuple(c for c in range(self.total)
                                if c not in pivot_set)
+        self.free_index = {c: t for t, c in enumerate(self.free_cols)}
         self.dim = len(self.free_cols)
         self.gen_mult = None
         self.words = None
         self.offsets = offsets
 
     def sparse_class(self, vector):
-        """Class of an ambient vector, as (index, coefficient) pairs."""
-        resid = self.rel_space.reduce(vector)
-        return tuple((t, resid[c]) for t, c in enumerate(self.free_cols)
-                     if resid[c])
+        """Class of a sparse ambient vector {column: nonzero coefficient},
+        as (index, coefficient) pairs; the vector is reduced in place."""
+        self.rel_space.reduce_sparse(vector)
+        index = self.free_index
+        return tuple((index[c], vector[c]) for c in sorted(vector))
 
 
-def generator_step(table, coords, dim, zero):
-    """Dense class of sum_i coords[i] * table[i] in a piece of size dim."""
-    out = [zero] * dim
-    for ci, row in zip(coords, table):
-        if ci:
-            for k, tk in row:
-                term = ci * tk
-                out[k] = out[k] + term if out[k] else term
-    return tuple(out)
+def generator_step(table, sparse):
+    """Sparse class of sum_i c_i * table[i] over the (i, c_i) pairs of
+    sparse, as (index, coefficient) pairs in index order."""
+    acc = {}
+    for i, ci in sparse:
+        for k, tk in table[i]:
+            y = acc.get(k)
+            acc[k] = ci * tk if y is None else y + ci * tk
+    return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
 
 
-def word_walk(step, words, n, coords, a_coords, dim, zero):
+def word_walk(tables, words, n, coords, a_coords, dim, zero):
     """Class of (element of degree n) * (element with word coordinates).
 
-    Each word with a nonzero coefficient acts letter by letter through
-    step(degree, coords, letter); the results are summed in a piece of
-    size dim.
+    Each word with a nonzero coefficient acts letter by letter through the
+    generator tables ``tables(degree)`` on the nonzero coordinates only;
+    the results are summed in a piece of size dim and returned densely.
     """
-    out = [zero] * dim
-    for j, aj in enumerate(a_coords):
+    start = tuple((i, c) for i, c in enumerate(coords) if c)
+    acc = {}
+    for aj, word in zip(a_coords, words):
         if not aj:
             continue
-        cur = tuple(coords)
+        cur = start
         level = n
-        for letter in words[j]:
-            cur = step(level, cur, letter)
+        for letter in word:
+            cur = generator_step(tables(level)[letter], cur)
             level += 1
-        for t, c in enumerate(cur):
-            if c:
-                out[t] = out[t] + aj * c
+        for t, c in cur:
+            y = acc.get(t)
+            acc[t] = aj * c if y is None else y + aj * c
+    return dense_class(acc.items(), dim, zero)
+
+
+def dense_class(pairs, dim, zero):
+    """Dense coordinate tuple of (index, coefficient) pairs."""
+    out = [zero] * dim
+    for t, c in pairs:
+        out[t] = c
     return tuple(out)
 
 
@@ -110,7 +125,7 @@ class QuadraticPresentation:
                 "relation list is linearly dependent")
         self.relation_space = span
         self._components = {}
-        self._word_classes = (0, [(field.one,)])
+        self._word_classes = (0, [((0, field.one),)])
         self._dual = None
 
     # -- graded components -------------------------------------------------
@@ -139,20 +154,19 @@ class QuadraticPresentation:
             rel_space = Subspace.zero(field, ambient)
         else:
             below = self.tables(n - 2)
-            rel_rows = self.relation_space.basis
+            rel_rows = [[(divmod(q, g), c) for q, c in r.items()]
+                        for r in self.relation_space.sparse]
             vectors = []
             for j in range(self.graded_dim(n - 2)):
                 for r in rel_rows:
-                    vec = [field.zero] * ambient
-                    for k in range(g):
-                        cls = below[k][j]
-                        for l in range(g):
-                            c = r[k * g + l]
-                            if c:
-                                for i, ci in cls:
-                                    vec[i * g + l] = vec[i * g + l] + c * ci
-                    vectors.append(vec)
-            rel_space = Subspace.span(field, ambient, vectors)
+                    vec = {}
+                    for (k, l), c in r:
+                        for i, ci in below[k][j]:
+                            q = i * g + l
+                            y = vec.get(q)
+                            vec[q] = c * ci if y is None else y + c * ci
+                    vectors.append({q: x for q, x in vec.items() if x})
+            rel_space = Subspace._span_sparse(field, ambient, vectors)
         comp = GradedPiece(rel_space)
         comp.words = tuple(prev.words[c // g] + (c % g,)
                            for c in comp.free_cols)
@@ -163,17 +177,12 @@ class QuadraticPresentation:
         comp = self.component(n)
         if comp.gen_mult is None:
             nxt = self.component(n + 1)
-            field = self.field
+            one = self.field.one
             g = self.gdim
-            tables = []
-            for l in range(g):
-                rows = []
-                for i in range(comp.dim):
-                    vec = [field.zero] * nxt.total
-                    vec[i * g + l] = field.one
-                    rows.append(nxt.sparse_class(vec))
-                tables.append(tuple(rows))
-            comp.gen_mult = tuple(tables)
+            comp.gen_mult = tuple(
+                tuple(nxt.sparse_class({i * g + l: one})
+                      for i in range(comp.dim))
+                for l in range(g))
         return comp.gen_mult
 
     def graded_dim(self, n):
@@ -191,17 +200,19 @@ class QuadraticPresentation:
 
     def mult_by_generator(self, n, coords, l):
         """Class of (element of A_n) * x_l in A_(n+1)."""
-        return generator_step(self.tables(n)[l], coords,
-                              self.graded_dim(n + 1), self.field.zero)
+        step = generator_step(self.tables(n)[l],
+                              [(i, c) for i, c in enumerate(coords) if c])
+        return dense_class(step, self.graded_dim(n + 1), self.field.zero)
 
     def multiply(self, m, a_coords, n, b_coords):
         """Product A_m x A_n -> A_(m+n) on class coordinates."""
-        return word_walk(self.mult_by_generator, self.basis_words(n), m,
+        return word_walk(self.tables, self.basis_words(n), m,
                          a_coords, b_coords, self.graded_dim(m + n),
                          self.field.zero)
 
     def word_classes(self, n):
-        """Classes in A_n of all g^n words, in lexicographic word order.
+        """Classes in A_n of all g^n words, in lexicographic word order, as
+        (index, coefficient) pairs.
 
         Built one letter at a time from the words of degree n-1; only the
         highest degree built so far is kept, and a lower degree starts over
@@ -209,22 +220,23 @@ class QuadraticPresentation:
         """
         built, classes = self._word_classes
         if built > n:
-            built, classes = 0, [(self.field.one,)]
+            built, classes = 0, [((0, self.field.one),)]
         for k in range(built, n):
-            classes = [self.mult_by_generator(k, cls, l)
-                       for cls in classes for l in range(self.gdim)]
+            tables = self.tables(k)
+            classes = [generator_step(table, cls)
+                       for cls in classes for table in tables]
         self._word_classes = (n, classes)
         return classes
 
     def project(self, n, vector):
         """Class in A_n of an ambient tensor vector of V^(x)n."""
-        out = [self.field.zero] * self.graded_dim(n)
+        acc = {}
         for c, cls in zip(vector, self.word_classes(n)):
             if c:
-                for k, ck in enumerate(cls):
-                    if ck:
-                        out[k] = out[k] + c * ck
-        return tuple(out)
+                for k, ck in cls:
+                    y = acc.get(k)
+                    acc[k] = c * ck if y is None else y + c * ck
+        return dense_class(acc.items(), self.graded_dim(n), self.field.zero)
 
     # -- derived structure -------------------------------------------------
 

@@ -10,8 +10,8 @@ the quadratic dual, read off the classes of the words in the dual
 from __future__ import annotations
 
 from .errors import ContainmentViolated
-from .linalg import Matrix, Subspace
-from .quadratic import QuadraticPresentation
+from .linalg import Matrix, Subspace, sparse_row
+from .quadratic import QuadraticPresentation, dense_class
 
 KOSZUL_DUAL = "dual"
 
@@ -54,8 +54,11 @@ def koszul_space(rel, n, g, cache=None):
             dual = QuadraticPresentation(rel.field, names,
                                          rel.basis).quadratic_dual()
             cache[KOSZUL_DUAL] = dual
-        out = Subspace.span(rel.field, g ** n,
-                            [list(row) for row in zip(*dual.word_classes(n))])
+        rows = [{} for _ in range(dual.graded_dim(n))]
+        for word, cls in enumerate(dual.word_classes(n)):
+            for t, c in cls:
+                rows[t][word] = c
+        out = Subspace._span_sparse(rel.field, g ** n, rows)
     cache[n] = out
     return out
 
@@ -64,40 +67,57 @@ def koszul_transition(rel, d, g, cache=None):
     """Basis of C_(d+1) written over the basis {c_k (x) v_l} of C_d (x) V."""
     lower = koszul_space(rel, d, g, cache)
     upper = koszul_space(rel, d + 1, g, cache)
-    rows = [tensor_coords_right(vec, lower, g) for vec in upper.basis]
-    return Matrix(rel.field, rows, ncols=lower.dim * g)
+    rows = [_coords_right(vec, lower, g) for vec in upper.sparse]
+    return Matrix._from_sparse(rel.field, rows, lower.dim * g)
+
+
+def _slice_coords(slices, sub, place, side):
+    """Coordinates over the basis rows of sub of each sparse slice, as a
+    sparse row {place(k, i): c}; ContainmentViolated if a slice escapes."""
+    out = {}
+    for k, piece in enumerate(slices):
+        taken = sub.reduce_sparse(piece)
+        if piece:
+            raise ContainmentViolated(
+                f"tensor slice escapes the expected {side} factor")
+        for i, c in taken:
+            out[place(k, i)] = c
+    return out
+
+
+def _coords_right(vec, left, g):
+    """Sparse coordinates of a sparse vector of W (x) V over c_i (x) v_k."""
+    slices = [{} for _ in range(g)]
+    for col, x in vec.items():
+        p, k = divmod(col, g)
+        slices[k][p] = x
+    return _slice_coords(slices, left, lambda k, i: i * g + k, "left")
+
+
+def _coords_left(vec, right, g):
+    """Sparse coordinates of a sparse vector of V (x) W over v_k (x) c_i."""
+    amb, dim = right.ambient_dim, right.dim
+    slices = [{} for _ in range(g)]
+    for col, x in vec.items():
+        k, p = divmod(col, amb)
+        slices[k][p] = x
+    return _slice_coords(slices, right, lambda k, i: k * dim + i, "right")
 
 
 def tensor_coords_right(vector, left, g):
     """Coordinates of a vector of W (x) V over basis rows of W tensor gens."""
-    amb = left.ambient_dim
-    if len(vector) != amb * g:
+    if len(vector) != left.ambient_dim * g:
         raise ValueError("vector does not live in W (x) V")
-    out = [left.field.zero] * (left.dim * g)
-    for k in range(g):
-        slice_k = [vector[p * g + k] for p in range(amb)]
-        coords = left.coords_of(slice_k)
-        if coords is None:
-            raise ContainmentViolated(
-                "tensor slice escapes the expected left factor")
-        for i, c in enumerate(coords):
-            out[i * g + k] = c
-    return out
+    coords = _coords_right(sparse_row(left.field, vector), left, g)
+    return list(dense_class(coords.items(), left.dim * g, left.field.zero))
 
 
 def tensor_coords_left(vector, right, g):
     """Coordinates of a vector of V (x) W over generators tensor basis rows."""
-    amb = right.ambient_dim
-    if len(vector) != g * amb:
+    if len(vector) != g * right.ambient_dim:
         raise ValueError("vector does not live in V (x) W")
-    out = []
-    for k in range(g):
-        coords = right.coords_of(vector[k * amb:(k + 1) * amb])
-        if coords is None:
-            raise ContainmentViolated(
-                "tensor slice escapes the expected right factor")
-        out.extend(coords)
-    return out
+    coords = _coords_left(sparse_row(right.field, vector), right, g)
+    return list(dense_class(coords.items(), right.dim * g, right.field.zero))
 
 
 def check_koszul_nesting(rel, n, g, cache=None):
@@ -107,6 +127,6 @@ def check_koszul_nesting(rel, n, g, cache=None):
     its own, so the nesting is an independent check of that construction.
     """
     lower = koszul_space(rel, n - 1, g, cache)
-    for vec in koszul_space(rel, n, g, cache).basis:
-        tensor_coords_right(vec, lower, g)
-        tensor_coords_left(vec, lower, g)
+    for vec in koszul_space(rel, n, g, cache).sparse:
+        _coords_right(vec, lower, g)
+        _coords_left(vec, lower, g)

@@ -175,3 +175,79 @@ def fraction_mul(field, a, b):
         for i in range(e):
             conv[k - e + i] -= c * m[i]
     return tuple(conv[:e])
+
+
+# -- reference dense elimination -----------------------------------------------
+
+
+def dense_rref(rows, ncols):
+    """Dense Gauss-Jordan elimination over FieldElement rows: the reduced
+    rows (zero rows last) and the pivot tuple.  Pivoting takes the first
+    row with a nonzero entry in each column."""
+    rows = [list(r) for r in rows]
+    pivots = []
+    pr = 0
+    for c in range(ncols):
+        if pr == len(rows):
+            break
+        hit = None
+        for r in range(pr, len(rows)):
+            if rows[r][c]:
+                hit = r
+                break
+        if hit is None:
+            continue
+        rows[pr], rows[hit] = rows[hit], rows[pr]
+        prow = rows[pr]
+        inv = prow[c].inverse()
+        support = [j for j in range(c, ncols) if prow[j]]
+        for j in support:
+            prow[j] = prow[j] * inv
+        for r in range(len(rows)):
+            if r != pr and rows[r][c]:
+                f = rows[r][c]
+                rr = rows[r]
+                for j in support:
+                    rr[j] = rr[j] - f * prow[j]
+        pivots.append(c)
+        pr += 1
+    return rows, tuple(pivots)
+
+
+def dense_kernel(field, rows, ncols):
+    """Canonical right null space basis read off dense_rref."""
+    red, pivots = dense_rref(rows, ncols)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
+        v = [field.zero] * ncols
+        v[fc] = field.one
+        for i, pc in enumerate(pivots):
+            v[pc] = -red[i][fc]
+        basis.append(v)
+    return basis
+
+
+def dense_solve(field, rows, ncols, rhs):
+    """One solution of rows * x = rhs with free variables zero, or None."""
+    red, pivots = dense_rref([list(r) + [b] for r, b in zip(rows, rhs)],
+                             ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return None
+    x = [field.zero] * ncols
+    for i, pc in enumerate(pivots):
+        x[pc] = red[i][ncols]
+    return x
+
+
+def dense_reduce(field, basis, pivots, vector):
+    """Residual and basis coefficients of a vector against an rref basis."""
+    v = list(vector)
+    coords = [field.zero] * len(basis)
+    for i, pc in enumerate(pivots):
+        c = v[pc]
+        if c:
+            coords[i] = c
+            v = [x - c * b for x, b in zip(v, basis[i])]
+    return v, coords

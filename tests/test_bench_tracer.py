@@ -24,3 +24,45 @@ def test_every_traced_target_is_defined_on_its_owner():
                for owner, attr, _, _ in targets
                if attr not in owner.__dict__]
     assert missing == []
+
+
+class StubTracer:
+    def __init__(self):
+        self.counters = {}
+
+    def count(self, key, amount=1):
+        self.counters[key] = self.counters.get(key, 0) + amount
+
+    def maximum(self, key, value):
+        self.counters[key] = max(self.counters.get(key, 0), value)
+
+
+def test_probes_read_live_objects(golden_ctx):
+    """Each probe runs on the objects the traced call receives, so an
+    attribute it reads that the package renamed fails here."""
+    from ncquadric import Field, Matrix, QuadraticPresentation
+    from ncquadric.tensors import koszul_space
+
+    tracer = load_tracer()
+    stub = StubTracer()
+    field = Field.rationals()
+    mat = Matrix(field, [[1, 2, 0], [0, 0, 3]])
+    tracer._rref_probe((mat,), {}, stub)
+    assert stub.counters == {"linalg.rref_cells_total": 6,
+                             "linalg.rref_max_cells": 6}
+    mat.rref()
+    tracer._rref_probe((mat,), {}, stub)
+    assert stub.counters["linalg.rref_hits"] == 1
+
+    algebra = golden_ctx.quotient
+    assert isinstance(algebra, QuadraticPresentation)
+    tracer._component_probe((algebra, 2), {}, stub)
+    assert stub.counters["quadratic.component_hits"] == 1
+
+    rel = algebra.relation_space
+    cache = golden_ctx.koszul_cache
+    koszul_space(rel, 3, algebra.gdim, cache)
+    tracer._koszul_probe((rel, 3, algebra.gdim, cache), {}, stub)
+    tracer._koszul_probe((rel, 3, algebra.gdim), {"cache": cache}, stub)
+    assert stub.counters["tensors.koszul_cached_calls"] == 2
+    assert stub.counters["tensors.koszul_cache_hits"] == 2

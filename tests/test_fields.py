@@ -201,3 +201,69 @@ def test_quadratic_extension_non_square_with_a_t_part():
     F = Field.extension((1, 1, 1))
     p = Polynomial(F, [-F.element((1, 1)), F.zero, F.one])
     assert roots_coords(p) == (True, [])
+
+
+def brute_factor(n):
+    out = {}
+    d = 2
+    while n > 1:
+        while n % d == 0:
+            out[d] = out.get(d, 0) + 1
+            n //= d
+        d += 1
+    return out
+
+
+def test_factor_int_and_divisors_match_brute_force():
+    from ncquadric.fields import _divisors, _factor_int
+
+    for n in range(1, 1500):
+        assert _factor_int(n) == brute_factor(n)
+        divs = [d for d in range(1, n + 1) if n % d == 0]
+        assert _divisors(n) == _divisors(-n) == divs
+    assert _divisors(0) == [1]
+    # strong pseudoprimes, prime squares and products of large primes
+    known = {
+        3215031751: {151: 1, 751: 1, 28351: 1},
+        2 ** 61 - 1: {2 ** 61 - 1: 1},
+        (2 ** 31 - 1) * (2 ** 41 - 1): {13367: 1, 164511353: 1,
+                                        2147483647: 1},
+        1000000000061 ** 2 * 7 ** 3: {7: 3, 1000000000061: 2},
+        10000000019 * 10000000033: {10000000019: 1, 10000000033: 1},
+    }
+    for n, factors in known.items():
+        assert _factor_int(n) == factors
+    assert _divisors(10000000019 * 10000000033) == [
+        1, 10000000019, 10000000033, 10000000019 * 10000000033]
+
+
+def test_two_squares_and_gaussian_prime_factors():
+    from ncquadric.fields import (_gs_mul, _gs_norm, _gs_prime_factors,
+                                  _two_squares)
+
+    for p in (5, 13, 17, 29, 9973, 1000000000061):
+        a, b = _two_squares(p)
+        assert a * a + b * b == p
+    x = (5 * 1000000000061, 0)
+    factors = _gs_prime_factors(x)
+    prod = (1, 0)
+    for pi, e in factors.items():
+        for _ in range(e):
+            prod = _gs_mul(prod, pi)
+    assert _gs_norm(prod) == _gs_norm(x)
+    assert sorted(_gs_norm(pi) for pi in factors) == [5, 5, 1000000000061,
+                                                      1000000000061]
+
+
+@pytest.mark.parametrize("modulus", [
+    (10 ** 13 + 37, 0, 0, 0, 1),
+    (99999999999999999989, 0, 0, 0, 1),
+])
+def test_large_constant_terms_parse(modulus):
+    assert Field.extension(modulus).modulus_verified
+
+
+def test_large_quadratic_factor_is_found():
+    p, q = 10000000019, 10000000033
+    with pytest.raises(ValueError, match=r"quadratic factor t\^2\+10000000019\)$"):
+        Field.extension((p * q, 0, p + q, 0, 1))

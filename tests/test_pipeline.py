@@ -267,3 +267,25 @@ def test_ambient_dual_is_built_once(golden_parsed, monkeypatch):
     # S^! has 9 - 3 = 6 relations; the qp-certificate and dual-hilbert
     # stages read the same one
     assert built.count(6) == 1
+
+
+def test_center_is_split_once_per_algebra_and_seed(monkeypatch):
+    from pathlib import Path
+
+    from ncquadric import FiniteDimAlgebra
+    from ncquadric.presentation import parse_file
+
+    real = FiniteDimAlgebra._split_center
+    splits = []
+
+    def counting(self, seed):
+        splits.append((id(self), seed))
+        return real(self, seed)
+
+    monkeypatch.setattr(FiniteDimAlgebra, "_split_center", counting)
+    skew4 = Path(__file__).resolve().parent.parent / "bench" / "corpus" / \
+        "skew4.pres"
+    report = run_pipeline(parse_file(str(skew4)), degree=4, seed=3)
+    assert report.stage("dual-crosscheck").status == "ok"
+    assert splits
+    assert len(splits) == len(set(splits))
