@@ -7,8 +7,8 @@ from .errors import (AdditivityViolated, AlgebraError, AmbientMismatch,
                      NonSplit, NoStableCentral, NotCentral, NotIsolated,
                      NotRegularCertificate, NotSemisimple, ParseError,
                      RelationDependence, UnsupportedDimension)
-from .fields import Field, FieldElement, Polynomial, RootSearch, \
-    parse_field_spec, roots_in_field
+from .fields import Field, FieldElement, Polynomial, parse_field_spec, \
+    roots_in_field
 from .findim import FiniteDimAlgebra, IdempotentSet, SmallRng
 from .hypersurface import (HypersurfaceContext, build_context,
                            dimension_identities, end_algebra,
@@ -36,7 +36,7 @@ __all__ = [
     "IdempotentSet", "Matrix", "ModulePresentation", "NonSplit",
     "NoStableCentral", "NotCentral", "NotIsolated", "NotRegularCertificate",
     "NotSemisimple", "ParseError", "ParsedInput", "PipelineReport",
-    "Polynomial", "QuadraticPresentation", "RelationDependence", "RootSearch",
+    "Polynomial", "QuadraticPresentation", "RelationDependence",
     "SmallRng", "StageReport", "Subspace", "UnsupportedDimension",
     "build_context", "classify_mcm", "dimension_identities", "end_algebra",
     "free_module", "hom_graded", "hom_space", "identify_cyclic_quotient",

@@ -49,9 +49,10 @@ class NonSplit(AlgebraError):
     """Idempotent extraction hit a min-poly that does not split over the field.
 
     Carries the offending polynomial factor and whatever partial central
-    decomposition was certified before the failure.  ``decided`` is False
-    when the root search could not certify that the factor has no further
-    roots, so the factor may still split.
+    decomposition was certified before the failure.  ``decided`` is True
+    when a central factor was proved to have no further roots in the field,
+    and False when the search for a rank-one idempotent in a matrix block
+    gave up, so the block may still split.
     """
 
     def __init__(self, message, factor=None, partial=(), decided=True):

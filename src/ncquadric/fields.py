@@ -6,16 +6,21 @@ positive denominator in lowest terms.  Each arithmetic result costs one gcd
 (none when the denominator is 1), equality is an integer-tuple compare, and
 the modulus being a monic integer polynomial keeps the reduction of t^e
 integral.  ``fractions.Fraction`` is used only at the boundary: building an
-element from rational coordinates, reading them back as ``coords``, and the
-root searches.  All arithmetic is exact; nothing here ever rounds.
+element from rational coordinates and reading them back as ``coords``.  All
+arithmetic is exact; nothing here ever rounds.
+
+Roots in the base field take one route for every field: factor over Z, and
+over a proper extension factor a norm over Z (Trager).  The same factoriser
+proves each extension modulus irreducible.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations, count, islice
 from math import gcd, isqrt, lcm
 from operator import add, neg, sub
+from random import Random
 
 from .errors import DivisionByZero, FieldMismatch
 
@@ -30,7 +35,7 @@ _ONE = Fraction(1)
 # --- polynomial helpers on plain Fraction lists (ascending coefficients) ---
 
 
-def _fr_trim(p):
+def _trim(p):
     while p and p[-1] == 0:
         p.pop()
     return p
@@ -47,12 +52,12 @@ def _fr_divmod(a, b):
         q[k] = c
         for i, bi in enumerate(b):
             a[k + i] -= c * bi
-        _fr_trim(a)
+        _trim(a)
         if not a:
             break
         while len(a) >= len(b) and a[-1] == 0:
             a.pop()
-    return _fr_trim(q), _fr_trim(a)
+    return _trim(q), _trim(a)
 
 
 def _fr_mul(a, b):
@@ -64,14 +69,14 @@ def _fr_mul(a, b):
             for j, bj in enumerate(b):
                 if bj:
                     out[i + j] += ai * bj
-    return _fr_trim(out)
+    return _trim(out)
 
 
 def _fr_sub(a, b):
     out = list(a) + [_ZERO] * max(0, len(b) - len(a))
     for i, bi in enumerate(b):
         out[i] -= bi
-    return _fr_trim(out)
+    return _trim(out)
 
 
 def _fr_inverse_mod(a, m):
@@ -87,320 +92,275 @@ def _fr_inverse_mod(a, m):
     if len(r0) != 1:
         raise DivisionByZero("element has no inverse modulo the field modulus")
     c = 1 / r0[0]
-    return _fr_trim([x * c for x in s0])
+    return _trim([x * c for x in s0])
 
 
-def _int_rational_roots(coeffs):
-    """All rational roots of a nonzero integer-coefficient polynomial."""
-    c = list(coeffs)
-    roots = set()
-    k = 0
-    while c and c[0] == 0:
-        c.pop(0)
-        k += 1
-    if k:
-        roots.add(Fraction(0))
-    if len(c) <= 1:
-        return roots
-    c0, cn = abs(c[0]), abs(c[-1])
-    for p in _divisors(c0):
-        for q in _divisors(cn):
-            for cand in (Fraction(p, q), Fraction(-p, q)):
-                acc = Fraction(0)
-                for coef in reversed(c):
-                    acc = acc * cand + coef
-                if acc == 0:
-                    roots.add(cand)
-    return roots
+# --- integer polynomials over Z and Z/m: ascending int lists ---
+#
+# The modulus m = 0 means exact arithmetic over Z.  Factoring over Z is
+# Zassenhaus's: factor mod a small prime by distinct-degree and then
+# equal-degree splitting (Cantor-Zassenhaus), Hensel-lift the factors
+# quadratically past the Mignotte bound, and recombine them by trial
+# division (von zur Gathen and Gerhard, Modern Computer Algebra, ch. 14-15).
+
+_PRIMES = [p for p in range(3, 1000, 2)
+           if all(p % q for q in range(3, isqrt(p) + 1, 2))]
 
 
-def _int_quadratic_factor(m):
-    """A monic integer quadratic factor (c, b, 1) of m, or None.
-
-    m is a monic integer polynomial (ascending) without rational roots.  By
-    Gauss's lemma a quadratic factor over Q can be taken monic integral.  Then
-    c divides m(0) and 1 + b + c divides m(1), both nonzero here; and the
-    roots of the factor are roots of m, so |b| <= 2B with the Cauchy bound
-    B = 1 + max |m_i|.
-    """
-    bound = 1 + max(abs(c) for c in m[:-1])
-    at_one = sorted(s * d for d in _divisors(sum(m)) for s in (-1, 1))
-    for c in sorted(s * d for d in _divisors(m[0]) for s in (-1, 1)):
-        for e in at_one:
-            b = e - 1 - c
-            if abs(b) <= 2 * bound and _int_divides((c, b), m):
-                return (c, b, 1)
-    return None
+def _pmul(a, b, m=0):
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                out[i + j] += ai * bj
+    return _trim([c % m for c in out] if m else out)
 
 
-def _int_divides(low, m):
-    """Does the monic polynomial low + t^k divide the monic integer polynomial m?"""
-    rem = list(m)
-    k = len(low)
-    for top in range(len(rem) - 1, k - 1, -1):
-        c = rem[top]
+def _padd(a, b, m=0, c=1):
+    """a + c*b, reduced mod m."""
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, bi in enumerate(b):
+        out[i] += c * bi
+    return _trim([x % m for x in out] if m else out)
+
+
+def _pdivmod(a, b, m):
+    """Quotient and remainder of a by b mod m; lc(b) must be a unit mod m."""
+    a = [c % m for c in a]
+    inv = pow(b[-1], -1, m)
+    n = len(b) - 1
+    q = [0] * max(0, len(a) - n)
+    for k in range(len(a) - 1 - n, -1, -1):
+        c = q[k] = a[k + n] * inv % m
         if c:
-            for i, li in enumerate(low):
-                rem[top - k + i] -= c * li
-    return not any(rem[:k])
+            for i, bi in enumerate(b):
+                a[k + i] = (a[k + i] - c * bi) % m
+    return _trim(q), _trim(a[:n])
 
 
-def _divisors(n):
-    """The positive divisors of n in increasing order ([1] for n = 0)."""
-    out = [1]
-    for p, e in _factor_int(abs(n)).items() if n else ():
-        out = [d * p ** k for d in out for k in range(e + 1)]
-    return sorted(out)
+def _zdiv(a, b):
+    """a / b over Z if b divides a exactly, else None."""
+    a = list(a)
+    n = len(b) - 1
+    q = [0] * max(0, len(a) - n)
+    for k in range(len(a) - 1 - n, -1, -1):
+        c, r = divmod(a[k + n], b[-1])
+        if r:
+            return None
+        q[k] = c
+        if c:
+            for i, bi in enumerate(b):
+                a[k + i] -= c * bi
+    return None if any(a[:n]) else _trim(q)
 
 
-# Miller-Rabin with the primes up to 41 as bases decides primality exactly
-# below this bound (Sorenson and Webster, Math. Comp. 86 (2017) 985-1003).
-_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_BOUND = 3317044064679887385961981
+def _primitive(f):
+    """f divided by its content, with a positive leading coefficient."""
+    g = gcd(*f)
+    return [c // (g if f[-1] > 0 else -g) for c in f]
 
 
-def _is_prime(n):
-    """Deterministic Miller-Rabin primality test for 2 <= n < _MR_BOUND."""
-    for p in _MR_BASES:
-        if n % p == 0:
-            return n == p
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
+def _pmonic(a, m):
+    inv = pow(a[-1], -1, m)
+    return [c * inv % m for c in a]
+
+
+def _pgcd(a, b, p):
+    while b:
+        a, b = b, _pdivmod(a, b, p)[1]
+    return _pmonic(a, p)
+
+
+def _pxgcd(a, b, p):
+    """(s, t) with s a + t b = 1 mod the prime p, for coprime a and b."""
+    r0, r1, s0, s1, t0, t1 = a, b, [1], [], [], [1]
+    while r1:
+        q, r = _pdivmod(r0, r1, p)
+        r0, r1 = r1, r
+        s0, s1 = s1, _padd(s0, _pmul(q, s1, p), p, -1)
+        t0, t1 = t1, _padd(t0, _pmul(q, t1, p), p, -1)
+    inv = pow(r0[0], -1, p)
+    return [c * inv % p for c in s0], [c * inv % p for c in t0]
+
+
+def _ppow(a, n, f, p):
+    """a^n mod f and the prime p."""
+    out, a = [1], _pdivmod(a, f, p)[1]
+    while n:
+        if n & 1:
+            out = _pdivmod(_pmul(out, a, p), f, p)[1]
+        a = _pdivmod(_pmul(a, a, p), f, p)[1]
+        n >>= 1
+    return out
+
+
+def _squarefree_mod(f, p):
+    """Does f keep its degree mod the prime p and stay squarefree there?
+    If so, f is squarefree over Q."""
+    if f[-1] % p == 0:
+        return False
+    fp = [c % p for c in f]
+    return len(_pgcd(fp, _trim([k * c % p for k, c in enumerate(fp)][1:]), p)) == 1
+
+
+def _distinct_degree(f, p):
+    """Pairs (g, d), g the product of the monic irreducible factors of
+    degree d of f mod the prime p, for f squarefree mod p."""
+    f = _pmonic([c % p for c in f], p)
+    out = []
+    h, d = [0, 1], 0
+    while len(f) - 1 >= 2 * (d + 1):
+        d += 1
+        h = _ppow(h, p, f, p)
+        g = _pgcd(f, _padd(h, [0, 1], p, -1), p)
+        if len(g) > 1:
+            out.append((g, d))
+            f = _pdivmod(f, g, p)[0]
+            h = _pdivmod(h, f, p)[1]
+    return out + [(f, len(f) - 1)] if len(f) > 1 else out
+
+
+def _split_equal_degree(g, d, p, rng):
+    """The degree-d factors of g, a product of distinct monic irreducibles of
+    degree d mod p (Cantor-Zassenhaus)."""
+    if len(g) - 1 == d:
+        return [g]
+    while True:
+        a = _trim([rng.randrange(p) for _ in range(len(g) - 1)])
+        u = _pgcd(g, _padd(_ppow(a, (p ** d - 1) // 2, g, p), [1], p, -1), p)
+        if 1 < len(u) < len(g):
+            return (_split_equal_degree(u, d, p, rng)
+                    + _split_equal_degree(_pdivmod(g, u, p)[0], d, p, rng))
+
+
+def _hensel_step(f, g, h, s, t, m):
+    """Lift f = g h and s g + t h = 1 from mod m to mod m^2, h monic
+    (von zur Gathen and Gerhard, Algorithm 15.10)."""
+    m *= m
+    e = _padd(f, _pmul(g, h, m), m, -1)
+    q, r = _pdivmod(_pmul(s, e, m), h, m)
+    g = _padd(g, _padd(_pmul(t, e, m), _pmul(q, g, m)), m)
+    h = _padd(h, r, m)
+    b = _padd(_padd(_pmul(s, g, m), _pmul(t, h, m)), [1], m, -1)
+    c, d = _pdivmod(_pmul(s, b, m), h, m)
+    return (g, h, _padd(s, d, m, -1),
+            _padd(t, _padd(_pmul(t, b, m), _pmul(c, g, m)), m, -1))
+
+
+def _hensel_lift(f, factors, p, modulus):
+    """The monic factors of f mod p, lifted to mod modulus = p^(2^j)."""
+    lifted = []
+    for i in range(len(factors) - 1):
+        h = [1]
+        for u in factors[i + 1:]:
+            h = _pmul(h, u, p)
+        g = [c * f[-1] % p for c in factors[i]]
+        s, t = _pxgcd(g, h, p)
+        m = p
+        while m < modulus:
+            g, h, s, t = _hensel_step(f, g, h, s, t, m)
+            m *= m
+        lifted.append(_pmonic(g, modulus))
+        f = h
+    return lifted + [f]
+
+
+def _recombine(f, lifted, modulus):
+    """The irreducible factors of f over Z: products of its lifted modular
+    factors that divide it, smallest subsets first."""
+    out = []
+    d = 1
+    while 2 * d <= len(lifted):
+        for subset in combinations(range(len(lifted)), d):
+            cand = [f[-1]]
+            for i in subset:
+                cand = _pmul(cand, lifted[i], modulus)
+            cand = _primitive([c - modulus if 2 * c > modulus else c
+                               for c in cand])
+            q = None if (f[0] % cand[0] if cand[0] else f[0]) else _zdiv(f, cand)
+            if q is not None:
+                out.append(cand)
+                f = q
+                lifted = [g for i, g in enumerate(lifted) if i not in subset]
                 break
         else:
-            return False
-    return True
+            d += 1
+    return out + [f]
 
 
-def _pollard_brent(n):
-    """A proper factor of an odd composite n without prime factors below
-    _MR_BASES[-1]: Brent's cycle search on x^2 + c, c = 1, 2, ...,
-    with batched gcds (Brent, BIT 20 (1980) 176-184)."""
-    for c in range(1, n):
-        y, r, q, g = 2, 1, 1, 1
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = gcd(q, n)
-                k += 128
-            r *= 2
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = gcd(abs(x - ys), n)
-        if g != n:
-            return g
-    raise AssertionError("no factor found for a composite")
+def _factor_squarefree(f):
+    """The irreducible factors over Z of a squarefree primitive f with
+    positive leading coefficient.  Of the first three primes that keep f
+    squarefree, the one with the fewest modular factors is used."""
+    if len(f) <= 2:
+        return [f] if len(f) == 2 else []
+    good = (p for p in _PRIMES if _squarefree_mod(f, p))
+    p, parts = min(((p, _distinct_degree(f, p)) for p in islice(good, 3)),
+                   key=lambda pp: sum((len(g) - 1) // d for g, d in pp[1]))
+    rng = Random(0)
+    factors = [u for g, d in parts for u in _split_equal_degree(g, d, p, rng)]
+    if len(factors) == 1:
+        return [f]
+    # twice the Mignotte bound on the coefficients of lc(f) * (a factor)
+    bound = 2 ** len(f) * (isqrt(sum(c * c for c in f)) + 1) * f[-1]
+    modulus = p
+    while modulus <= bound:
+        modulus *= modulus
+    return _recombine(f, _hensel_lift(f, factors, p, modulus), modulus)
 
 
-def _trial_factor(n, out):
-    """Add the factorization of n >= 1 to out by trial division."""
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1 if d == 2 else 2
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+def _integral(coeffs):
+    """Numerator vectors of field elements over their common denominator."""
+    den = lcm(*[c.den for c in coeffs])
+    return [[a * (den // c.den) for a in c.num] for c in coeffs]
 
 
-def _factor_int(n):
-    """Factorization of n >= 1 as {prime: exponent}, primes increasing.
-
-    Primes up to 41 are divided out first and squares are split into
-    their roots; a cofactor below _MR_BOUND is split with Pollard-Brent
-    until Miller-Rabin proves each part prime, and one above it by trial
-    division, so every factor is proved prime.
-    """
-    out = {}
-    for p in _MR_BASES:
-        while n % p == 0:
-            out[p] = out.get(p, 0) + 1
-            n //= p
-    parts = [n] if n > 1 else []
-    while parts:
-        m = parts.pop()
-        root = isqrt(m)
-        if root * root == m:
-            # squares (norms of rational Gaussian primes) would cost rho
-            # about sqrt(root) steps
-            parts += [root, root]
-        elif m >= _MR_BOUND:
-            _trial_factor(m, out)
-        elif _is_prime(m):
-            out[m] = out.get(m, 0) + 1
-        else:
-            f = _pollard_brent(m)
-            parts += [f, m // f]
-    return dict(sorted(out.items()))
-
-
-# --- Gaussian integer helpers: pairs (a, b) meaning a + b*i ---
-
-
-def _gs_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
-def _gs_norm(x):
-    return x[0] * x[0] + x[1] * x[1]
-
-
-def _gs_divmod(x, y):
-    n = _gs_norm(y)
-    num = _gs_mul(x, (y[0], -y[1]))
-    q = (_round_half(Fraction(num[0], n)), _round_half(Fraction(num[1], n)))
-    r = (x[0] - (q[0] * y[0] - q[1] * y[1]), x[1] - (q[0] * y[1] + q[1] * y[0]))
-    return q, r
-
-
-def _round_half(fr):
-    # deterministic round-to-nearest, half toward +inf
-    return (2 * fr.numerator + fr.denominator) // (2 * fr.denominator)
-
-
-def _gs_canonical(x):
-    """Rotate by units into the canonical quadrant: a > 0, b >= 0 (or zero)."""
-    a, b = x
-    if a == 0 and b == 0:
-        return x
-    for _ in range(4):
-        if a > 0 and b >= 0:
-            return (a, b)
-        a, b = b, -a
-    return (a, b)
-
-
-def _gs_prime_factors(x):
-    """Factor a nonzero Gaussian integer into canonical primes with exponents."""
-    out = {}
-    rest = x
-    for p, e in sorted(_factor_int(_gs_norm(x)).items()):
-        if p == 2:
-            cands = [(1, 1)]
-        elif p % 4 == 3:
-            cands = [(p, 0)]
-        else:
-            a, b = _two_squares(p)
-            cands = [_gs_canonical((a, b)), _gs_canonical((a, -b))]
-        for pi in cands:
-            while True:
-                q, r = _gs_divmod(rest, pi)
-                if r == (0, 0):
-                    rest = q
-                    out[pi] = out.get(pi, 0) + 1
-                else:
-                    break
-    return out
-
-
-def _two_squares(p):
-    """(a, b) with a^2 + b^2 = p for a prime p = 1 mod 4 (Hermite-Serret):
-    the Euclidean remainders of p and a square root of -1 mod p drop below
-    sqrt(p) at a."""
-    q = 2
-    while pow(q, (p - 1) // 2, p) != p - 1:
-        q += 1
-    a, b = p, pow(q, (p - 1) // 4, p)
-    while b * b > p:
-        a, b = b, a % b
-    return b, isqrt(p - b * b)
-
-
-def _gs_divisors(x):
-    """All divisors of a nonzero Gaussian integer, one per associate class."""
-    factors = sorted(_gs_prime_factors(x).items(), key=lambda kv: (_gs_norm(kv[0]), kv[0]))
-    divs = [(1, 0)]
-    for pi, e in factors:
-        grown = []
-        for d in divs:
-            cur = d
-            for _ in range(e + 1):
-                grown.append(cur)
-                cur = _gs_mul(cur, pi)
-        divs = grown
-    seen = set()
-    out = []
-    for d in divs:
-        c = _gs_canonical(d)
-        if c not in seen:
-            seen.add(c)
-            out.append(c)
-    out.sort(key=lambda d: (_gs_norm(d), d))
-    return out
+def _check_irreducible(m):
+    """Raise ValueError if the monic integer polynomial m is reducible over
+    Q, naming its lowest-degree factor (ties: least coefficient tuple)."""
+    sq = Polynomial.from_ints(_RATIONAL_FIELD, m).squarefree_part()
+    factors = _factor_squarefree(_primitive([v[0] for v in _integral(sq.coeffs)]))
+    if factors == [list(m)]:
+        return
+    g = min(factors, key=lambda g: (len(g), g))
+    if len(g) == 2:
+        what = "a rational root"
+    elif len(g) == 3:
+        what = f"a quadratic factor {_int_poly_str(g)}"
+    else:
+        what = f"a factor {_int_poly_str(g)} of degree {len(g) - 1}"
+    raise ValueError(f"modulus is reducible over Q (has {what})")
 
 
 class Field:
     """A base field: the rationals, the Gaussian rationals, or Q[t]/(m(t)).
 
-    The modulus of an extension must be a monic integer polynomial.  Up to
-    degree five, irreducibility is verified: no rational root, and for
-    degree four and five no monic integer quadratic factor either (a
-    reducible polynomial of degree at most five has a factor of degree one
-    or two).  Higher degrees are accepted on the caller's assertion,
-    recorded in ``modulus_verified``.
+    The modulus of an extension must be a monic integer polynomial, and it
+    is proved irreducible at construction by factoring it over Z; a
+    reducible modulus raises ValueError naming its lowest-degree factor.
     """
 
-    __slots__ = ("kind", "degree", "modulus", "symbol", "modulus_verified",
-                 "_theta_pows", "zero", "one")
+    __slots__ = ("kind", "degree", "modulus", "symbol", "_theta_pows",
+                 "zero", "one")
 
     def __init__(self, kind, modulus=None):
         if kind == RATIONALS:
-            self.kind = kind
-            self.degree = 1
-            self.modulus = None
-            self.symbol = ""
-            self.modulus_verified = True
+            self.degree, self.modulus, self.symbol = 1, None, ""
         elif kind == GAUSSIAN:
-            self.kind = kind
-            self.degree = 2
-            self.modulus = (1, 0, 1)
-            self.symbol = "i"
-            self.modulus_verified = True
+            self.degree, self.modulus, self.symbol = 2, (1, 0, 1), "i"
         elif kind == EXTENSION:
             m = tuple(int(c) for c in modulus)
             if len(m) < 3:
                 raise ValueError("extension modulus must have degree at least 2")
             if m[-1] != 1:
                 raise ValueError("extension modulus must be monic")
-            deg = len(m) - 1
-            verified = False
-            if deg <= 5:
-                if _int_rational_roots(m):
-                    raise ValueError("modulus is reducible over Q (has a rational root)")
-                if deg >= 4:
-                    factor = _int_quadratic_factor(m)
-                    if factor is not None:
-                        raise ValueError(
-                            "modulus is reducible over Q (has a quadratic "
-                            f"factor {_int_poly_str(factor)})")
-                verified = True
-            self.kind = kind
-            self.degree = deg
-            self.modulus = m
-            self.symbol = "t"
-            self.modulus_verified = verified
+            _check_irreducible(m)
+            self.degree, self.modulus, self.symbol = len(m) - 1, m, "t"
         else:
             raise ValueError(f"unknown field kind {kind!r}")
+        self.kind = kind
         self._theta_pows = self._reduction_table()
         zeros = (0,) * (self.degree - 1)
         self.zero = _make(self, (0,) + zeros, 1)
@@ -618,7 +578,7 @@ class FieldElement:
             if norm < 0:
                 return _make(field, (-conj * d, b * d), -norm)
             raise DivisionByZero("element has no inverse modulo the field modulus")
-        inv = _fr_inverse_mod(_fr_trim(list(self.coords)),
+        inv = _fr_inverse_mod(_trim(list(self.coords)),
                               [Fraction(c) for c in field.modulus])
         return FieldElement(field, list(inv) + [_ZERO] * (e - len(inv)))
 
@@ -907,220 +867,103 @@ class Polynomial:
         return f"Polynomial({self} over {self.field.describe()})"
 
 
-@dataclass(frozen=True)
-class RootSearch:
-    """Roots found in the base field, with a completeness guarantee flag."""
-
-    roots: tuple
-    complete: bool
+_RATIONAL_FIELD = Field(RATIONALS)
 
 
 def roots_in_field(p):
-    """Roots of p lying in its coefficient field, each listed once.
+    """The roots of p in its coefficient field K, each once, sorted by
+    coordinates.  Exact over every base field.
 
-    Complete over Q and Q(i).  Over other simple extensions the search is
-    best-effort (rational candidates plus quadratic factors solved through
-    the norm form) and ``complete`` reports whether it certifies all roots.
+    The squarefree part q of p is factored over Q when its coefficients are
+    rational: linear factors give the rational roots, and only a factor
+    whose degree divides [K:Q] can have roots in K.  Such a factor, or q
+    itself when it is not rational, goes through Trager's norm method.
     """
     if not p:
         raise ValueError("root search needs a nonzero polynomial")
-    sq = p.squarefree_part()
-    field = p.field
-    if field.kind == RATIONALS:
-        roots = _roots_rational(sq)
-        return RootSearch(tuple(sorted(roots, key=lambda r: r.coords)), True)
-    if field.kind == GAUSSIAN:
-        roots = _roots_gaussian(sq)
-        return RootSearch(tuple(sorted(roots, key=lambda r: r.coords)), True)
-    roots, complete = _roots_extension(sq)
-    return RootSearch(tuple(sorted(roots, key=lambda r: r.coords)), complete)
+    q = p.squarefree_part()
+    field = q.field
+    vectors = _integral(q.coeffs)
+    if any(any(v[1:]) for v in vectors):
+        roots = _norm_roots(q)
+    else:
+        roots = []
+        for g in _factor_squarefree(_primitive([v[0] for v in vectors])):
+            if len(g) == 2:
+                roots.append(field.from_rational(Fraction(-g[0], g[1])))
+            elif field.degree % (len(g) - 1) == 0:
+                roots += _norm_roots(Polynomial.from_ints(field, g))
+    return tuple(sorted(roots, key=lambda r: r.coords))
 
 
-def _roots_rational(sq):
-    field = sq.field
-    denom = 1
-    for c in sq.coeffs:
-        denom = denom * c.coords[0].denominator // _gcd(denom, c.coords[0].denominator)
-    ints = [int(c.coords[0] * denom) for c in sq.coeffs]
-    return [field.from_rational(r) for r in sorted(_int_rational_roots(ints))]
+def _norm_roots(q):
+    """The roots of a squarefree q over K = Q[t]/(m) of degree e >= 2
+    (Trager, Algebraic factoring and rational function integration,
+    SYMSAC 1976).
 
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
-
-
-def _roots_gaussian(sq):
-    field = sq.field
-    if sq.degree <= 0:
-        return []
-    denom = 1
-    for c in sq.coeffs:
-        for fr in c.coords:
-            denom = denom * fr.denominator // _gcd(denom, fr.denominator)
-    ints = [(int(c.coords[0] * denom), int(c.coords[1] * denom)) for c in sq.coeffs]
+    For a shift s that makes N(x) = Norm_{K/Q} q(x - s t) squarefree (proved
+    by a prime that keeps it squarefree), every irreducible factor N_j of N
+    gives the irreducible factor gcd(q, N_j(x + s t)) of q over K, of degree
+    deg(N_j)/e.  So the factors of degree e give the roots.
+    """
+    field = q.field
+    vectors = _integral(q.coeffs)
+    for k in count():
+        s = (k + 1) // 2 * (1 if k % 2 else -1)  # 0, 1, -1, 2, -2, ...
+        norm = _primitive(_norm(vectors, field.modulus, s))
+        if any(_squarefree_mod(norm, p) for p in _PRIMES[:20]):
+            break
+    x_plus = Polynomial(field, [field.generator() * s, field.one])
     roots = []
-    k = 0
-    while ints and ints[0] == (0, 0):
-        ints.pop(0)
-        k += 1
-    if k:
-        roots.append(field.zero)
-    if len(ints) <= 1:
-        return roots
-    units = [(1, 0), (0, 1), (-1, 0), (0, -1)]
-    seen = set()
-    for r in _gs_divisors(ints[0]):
-        for s in _gs_divisors(ints[-1]):
-            ns = _gs_norm(s)
-            for u in units:
-                ru = _gs_mul(r, u)
-                # candidate = ru / s = ru * conj(s) / norm(s)
-                num = _gs_mul(ru, (s[0], -s[1]))
-                cand = (Fraction(num[0], ns), Fraction(num[1], ns))
-                if cand in seen:
-                    continue
-                seen.add(cand)
-                x = field.element(cand)
-                if not sq(x):
-                    roots.append(x)
+    for g in _factor_squarefree(norm):
+        if len(g) - 1 == field.degree:
+            shifted = Polynomial(field, ())
+            for c in reversed(g):
+                shifted = shifted * x_plus + Polynomial.from_ints(field, [c])
+            roots.append(-q.gcd(shifted).coeffs[0])
     return roots
 
 
-def _roots_extension(sq):
-    field = sq.field
-    roots = []
-    cur = sq
-    complete = True
-    while True:
-        if cur.degree <= 0:
-            break
-        if cur.degree == 1:
-            roots.append(-cur.coeffs[0] / cur.coeffs[1])
-            break
-        found = None
-        for cand in _rational_candidates(cur):
-            if not cur(cand):
-                found = cand
-                break
-        if found is None and cur.degree == 2:
-            qroots = _quadratic_roots(cur)
-            if qroots is not None:
-                roots.extend(qroots)
-            else:
-                complete = False  # square-ness of the discriminant unknown
-            break
-        if found is None:
-            complete = False
-            break
-        roots.append(found)
-        lin = Polynomial(field, [-found, field.one])
-        cur = cur // lin
-    return roots, complete
+def _norm(vectors, m, s):
+    """Norm_{K/Q} of sum_k v_k (x - s t)^k in Z[x], K = Q[t]/(m), for
+    integer coordinate vectors v_k: the determinant of multiplication by
+    that element of K[x] on the basis 1, t, ..., t^(e-1)."""
+    e = len(m) - 1
+
+    def times_t(v):
+        top = v[-1]
+        return [-top * m[0]] + [v[i - 1] - top * m[i] for i in range(1, e)]
+
+    poly = []  # Horner in K[x]: x-coefficients as coordinate vectors
+    for v in reversed(vectors):
+        shifted = [[0] * e] + poly
+        turned = [times_t(w) for w in poly] + [[0] * e]
+        poly = [[a - s * b for a, b in zip(u, w)]
+                for u, w in zip(shifted, turned)]
+        poly[0] = [a + b for a, b in zip(poly[0], v)]
+    cols = [poly]
+    for _ in range(e - 1):
+        cols.append([times_t(w) for w in cols[-1]])
+    return _det([[_trim([w[i] for w in col]) for col in cols]
+                 for i in range(e)])
 
 
-def _rational_candidates(p):
-    """Rational elements that can be roots of p (complete for rational roots)."""
-    field = p.field
-    e = field.degree
-    for j in range(e):
-        coord_poly = [c.coords[j] for c in p.coeffs]
-        if any(coord_poly):
-            denom = 1
-            for fr in coord_poly:
-                denom = denom * fr.denominator // _gcd(denom, fr.denominator)
-            ints = [int(fr * denom) for fr in coord_poly]
-            return [field.from_rational(r) for r in sorted(_int_rational_roots(ints))]
-    return []
-
-
-def _quadratic_roots(p):
-    """Both roots of a quadratic over a simple extension, or None if unknown.
-
-    Returns a list (possibly empty) when the question is decided; None when
-    the field degree rules out our square-root reduction.
-    """
-    field = p.field
-    a, b, c = p.coeffs[2], p.coeffs[1], p.coeffs[0]
-    disc = b * b - field.from_rational(4) * a * c
-    s = _sqrt_in_field(disc)
-    if s is None:
-        if field.degree == 2:
-            return []  # decided: discriminant is a non-square, no roots here
-        if field.degree % 2 == 1 and all(x == 0 for x in disc.coords[1:]):
-            # a rational non-square cannot acquire a square root inside an
-            # odd-degree extension (it would generate a quadratic subfield)
+def _det(rows):
+    """Determinant of a square matrix over Z[x], fraction-free (Bareiss)."""
+    rows = [list(r) for r in rows]
+    n = len(rows)
+    sign, prev = 1, [1]
+    for k in range(n - 1):
+        piv = next((r for r in range(k, n) if rows[r][k]), None)
+        if piv is None:
             return []
-        return None
-    two_a = field.from_rational(2) * a
-    r1 = (-b + s) / two_a
-    r2 = (-b - s) / two_a
-    return [r1] if r1 == r2 else [r1, r2]
-
-
-def _sqrt_in_field(d):
-    """A square root of d in its field, or None if none exists / undecidable."""
-    field = d.field
-    if not d:
-        return field.zero
-    if field.degree == 1 or all(x == 0 for x in d.coords[1:]):
-        r = _rational_sqrt(d.coords[0])
-        if r is not None:
-            return field.from_rational(r)
-        if field.degree != 2:
-            return None
-    if field.degree != 2:
-        return None
-    # z = u + v*t with t^2 = -p*t - q; solve z^2 = d0 + d1*t exactly
-    pm = Fraction(field.modulus[1])
-    qm = Fraction(field.modulus[0])
-    d0, d1 = d.coords
-    cands = []
-    if d1 == 0:
-        r = _rational_sqrt(d0)
-        if r is not None:
-            cands.append((r, Fraction(0)))
-        den = pm * pm / 4 - qm
-        if den != 0:
-            v2 = d0 / den
-            v = _rational_sqrt(v2)
-            if v is not None:
-                cands.append((pm * v / 2, v))
-    else:
-        # (p^2 - 4q) w^2 + (2 p d1 - 4 d0) w + d1^2 = 0 with w = v^2
-        A = pm * pm - 4 * qm
-        B = 2 * pm * d1 - 4 * d0
-        C = d1 * d1
-        for w in _rational_quadratic_roots(A, B, C):
-            if w <= 0:
-                continue
-            v = _rational_sqrt(w)
-            if v is not None and v != 0:
-                u = (d1 + pm * w) / (2 * v)
-                cands.append((u, v))
-    for u, v in sorted(cands):
-        z = field.element((u, v))
-        if z * z == d:
-            return z
-    return None
-
-
-def _rational_sqrt(fr):
-    if fr < 0:
-        return None
-    n, d = fr.numerator, fr.denominator
-    rn, rd = isqrt(n), isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Fraction(rn, rd)
-    return None
-
-
-def _rational_quadratic_roots(a, b, c):
-    if a == 0:
-        return [] if b == 0 else [Fraction(-c, b)]
-    disc = b * b - 4 * a * c
-    s = _rational_sqrt(Fraction(disc)) if disc >= 0 else None
-    if s is None:
-        return []
-    return sorted({(-b + s) / (2 * a), (-b - s) / (2 * a)})
+        if piv != k:
+            rows[k], rows[piv] = rows[piv], rows[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                rows[i][j] = _zdiv(_padd(_pmul(rows[k][k], rows[i][j]),
+                                         _pmul(rows[i][k], rows[k][j]), 0, -1),
+                                   prev)
+        prev = rows[k][k]
+    return [sign * c for c in rows[-1][-1]]

@@ -318,9 +318,9 @@ class FiniteDimAlgebra:
         if best is None:
             raise AlgebraError("central splitting found no usable element")
         x, m = best
-        search = roots_in_field(m)
+        roots = roots_in_field(m)
         pieces = []
-        for lam in search.roots:
+        for lam in roots:
             t_minus = Polynomial(self.field, [-lam, self.field.one])
             h = m // t_minus
             val = self.eval_poly(h, x, unit=e)
@@ -329,24 +329,18 @@ class FiniteDimAlgebra:
             if self.multiply(piece, piece) != piece:
                 raise AlgebraError("central idempotent candidate failed")
             pieces.append(piece)
-        if len(search.roots) < m.degree:
+        if len(roots) < m.degree:
             residual = tuple(e)
             for p in pieces:
                 residual = self.sub(residual, p)
             factor = m
-            for lam in search.roots:
+            for lam in roots:
                 factor = factor // Polynomial(self.field,
                                               [-lam, self.field.one])
             partial = tuple(partial_rest) + tuple(pieces) + (residual,)
-            if search.complete:
-                message = ("central characteristic factor does not split "
-                           f"over {self.field.describe()}")
-            else:
-                message = (f"splitting of the central characteristic factor "
-                           f"{factor} over {self.field.describe()} is "
-                           "undecided: the root search is incomplete")
-            raise NonSplit(message, factor=factor, partial=partial,
-                           decided=search.complete)
+            raise NonSplit("central characteristic factor does not split "
+                           f"over {self.field.describe()}", factor=factor,
+                           partial=partial)
         return pieces
 
     def primitive_idempotents(self, seed=0):
@@ -420,17 +414,13 @@ class FiniteDimAlgebra:
                 if c:
                     v = self.add(v, self.scale(self.field.from_rational(c), b))
             candidates.append(v)
-        incomplete_factor = None
         for x in candidates:
             if all(not c for c in x):
                 continue
             m = self.min_poly(x, unit=e)
             if m.degree < 1:
                 continue
-            search = roots_in_field(m)
-            if not search.complete:
-                incomplete_factor = m
-            for lam in search.roots:
+            for lam in roots_in_field(m):
                 y = self.sub(x, self.scale(lam, e))
                 if all(not c for c in y):
                     continue
@@ -440,7 +430,7 @@ class FiniteDimAlgebra:
         raise NonSplit(
             "no in-field eigenvalue produced a rank-one idempotent in a "
             f"block of matrix size {cur_n} over {self.field.describe()}",
-            factor=incomplete_factor, partial=partial + (tuple(e),))
+            partial=partial + (tuple(e),), decided=False)
 
     def _minimal_ideal_idempotent(self, block, y, n, rng):
         ideal = self._left_ideal(block, y)

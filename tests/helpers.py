@@ -3,6 +3,7 @@ with the oracle, and small constructions that only the tests need."""
 
 from fractions import Fraction
 from itertools import product
+from math import lcm
 
 from ncquadric import (AlgebraError, AmbientMismatch, FiniteDimAlgebra,
                        Matrix, QuadraticPresentation, Subspace,
@@ -251,3 +252,50 @@ def dense_reduce(field, basis, pivots, vector):
             coords[i] = c
             v = [x - c * b for x, b in zip(v, basis[i])]
     return v, coords
+
+
+# -- reference root search over Q and Q(i) -------------------------------------
+
+
+def brute_roots(coeffs, gaussian):
+    """All roots in Q, or in Q(i) if ``gaussian``, of the polynomial with
+    ascending coefficients ``coeffs``, each a (real, imag) pair of
+    Fractions, found by trying every candidate inside the Cauchy bound.
+
+    Scaled to Gaussian integers c_k, every root r has |r| < R for the least
+    integer R >= 1 with |c_n| R^n > sum_k |c_k| R^k, and c_n r is a
+    Gaussian integer.  So the candidates are z / c_n with z = a + b i and
+    |a|, |b| < |c_n| R (b = 0 over Q).  Returns sorted (real, imag) pairs.
+    """
+    den = lcm(*[x.denominator for c in coeffs for x in c])
+    cs = [(int(a * den), int(b * den)) for a, b in coeffs]
+    n = len(cs) - 1
+    lead = cs[-1]
+    low = max(abs(lead[0]), abs(lead[1]))  # |c_n| >= low
+    high = abs(lead[0]) + abs(lead[1])     # |c_k| <= |re| + |im|
+    R = 1
+    while low * R ** n <= sum((abs(a) + abs(b)) * R ** k
+                              for k, (a, b) in enumerate(cs[:-1])):
+        R += 1
+    lead_pows = [(1, 0)]
+    for _ in range(n):
+        lead_pows.append(_gmul(lead_pows[-1], lead))
+    norm = lead[0] ** 2 + lead[1] ** 2
+    roots = []
+    span = range(-high * R, high * R + 1)
+    for a in span:
+        for b in (span if gaussian else (0,)):
+            # c_n^n p(z / c_n) = sum_k c_k z^k c_n^(n-k)
+            acc, zk = (0, 0), (1, 0)
+            for k, c in enumerate(cs):
+                term = _gmul(_gmul(c, zk), lead_pows[n - k])
+                acc = (acc[0] + term[0], acc[1] + term[1])
+                zk = _gmul(zk, (a, b))
+            if acc == (0, 0):
+                num = _gmul((a, b), (lead[0], -lead[1]))
+                roots.append((Fraction(num[0], norm), Fraction(num[1], norm)))
+    return sorted(roots)
+
+
+def _gmul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])

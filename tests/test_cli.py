@@ -125,3 +125,35 @@ def test_reducible_quartic_modulus_exits_2(capsys, tmp_path, modulus):
     assert rc == 2
     assert out == ""
     assert "modulus is reducible over Q (has a quadratic factor" in err
+
+
+def write_node(tmp_path, modulus):
+    pres = tmp_path / "node.pres"
+    pres.write_text(f"field = Q[t]/({modulus})\nvars = x, y\n"
+                    "rel = x*y - y*x\ncentral = x*x + y*y\n")
+    return str(pres)
+
+
+def test_reducible_sextic_modulus_exits_2(capsys, tmp_path):
+    # (t^3+2)(t^3+3): no rational root and no quadratic factor
+    rc, out, err = run(capsys, write_node(tmp_path, "t^6+5*t^3+6"))
+    assert rc == 2
+    assert out == ""
+    assert "modulus is reducible over Q (has a factor t^3+2 of degree 3)" \
+        in err
+
+
+@pytest.mark.parametrize("modulus, summands", [
+    ("t^6-2", None),    # i is not in Q(2^(1/6)): proved not to split
+    ("t^8+1", 2),       # t^4 is a square root of -1
+])
+def test_irreducible_high_degree_moduli_are_accepted(capsys, tmp_path,
+                                                     modulus, summands):
+    rc, out, err = run(capsys, write_node(tmp_path, modulus), "--json")
+    assert rc == 0 and err == ""
+    doc = json.loads(out)
+    mcm = next(s for s in doc["stages"] if s["name"] == "mcm-classification")
+    if summands is None:
+        assert mcm["message"] == "idempotents do not split over this field"
+    else:
+        assert len(mcm["data"]["summands"]) == summands

@@ -1,4 +1,5 @@
 import re
+import time
 from fractions import Fraction
 
 import pytest
@@ -87,7 +88,7 @@ def test_extension_rejects_quadratic_factors(modulus, factor):
     (-1, -1, 0, 0, 0, 1),         # t^5-t-1
 ])
 def test_extension_accepts_irreducible_quartics_and_quintics(modulus):
-    assert Field.extension(modulus).modulus_verified
+    assert Field.extension(modulus).degree == len(modulus) - 1
 
 
 def test_polynomial_ops(Q):
@@ -119,47 +120,36 @@ def test_rational_roots(Q):
     p = Polynomial.from_ints(Q, [-2, 1]) * Polynomial.from_ints(Q, [1, 2]) \
         * Polynomial.from_ints(Q, [1, 0, 1])
     rs = roots_in_field(p)
-    assert rs.complete
-    assert sorted(r.coords[0] for r in rs.roots) == [Fraction(-1, 2), 2]
+    assert sorted(r.coords[0] for r in rs) == [Fraction(-1, 2), 2]
 
 
 def test_gaussian_roots(Qi):
     p = Polynomial.from_ints(Qi, [1, 0, 1])  # t^2 + 1
-    rs = roots_in_field(p)
-    assert rs.complete
-    vals = sorted(str(r) for r in rs.roots)
+    vals = sorted(str(r) for r in roots_in_field(p))
     assert vals == ["-i", "i"]
 
 
 def test_extension_quadratic_decided(Qsqrt2):
     # t^2 - 2 has both roots in Q[t]/(t^2-2)
     p = Polynomial.from_ints(Qsqrt2, [-2, 0, 1])
-    rs = roots_in_field(p)
-    assert rs.complete
-    assert sorted(str(r) for r in rs.roots) == ["-t", "t"]
-    # t^2 - 3 has none, and the degree-2 norm solve certifies that
-    q = Polynomial.from_ints(Qsqrt2, [-3, 0, 1])
-    rs2 = roots_in_field(q)
-    assert rs2.complete and rs2.roots == ()
+    assert sorted(str(r) for r in roots_in_field(p)) == ["-t", "t"]
+    # t^2 - 3 has none
+    assert roots_in_field(Polynomial.from_ints(Qsqrt2, [-3, 0, 1])) == ()
 
 
 def test_even_quartic_extension_is_honest():
-    # in Q[t]/(t^4 - 2) the element t^2 is a square root of sqrt(2)'s
-    # square; a rational non-square discriminant must stay undecided
+    # in Q[t]/(t^4 - 2) the element t^2 is a square root of 2, though 2 is
+    # not a square in Q: the norm route finds both roots
     F = Field.extension((-2, 0, 0, 0, 1))
-    p = Polynomial.from_ints(F, [-2, 0, 1])  # roots t^2 and -t^2 exist
-    rs = roots_in_field(p)
-    # the search cannot see those roots, so it must not claim completeness
-    assert not rs.complete
-    assert rs.roots == ()
+    p = Polynomial.from_ints(F, [-2, 0, 1])
+    assert [str(r) for r in roots_in_field(p)] == ["-t^2", "t^2"]
 
 
 def test_odd_extension_decides_rational_disc():
     # no quadratic subfield in a cubic extension:
     # t^2 - 5 can have no roots in Q[t]/(t^3 - 2)
     F = Field.extension((-2, 0, 0, 1))
-    rs = roots_in_field(Polynomial.from_ints(F, [-5, 0, 1]))
-    assert rs.complete and rs.roots == ()
+    assert roots_in_field(Polynomial.from_ints(F, [-5, 0, 1])) == ()
 
 
 def test_parse_field_spec():
@@ -177,15 +167,14 @@ def test_parse_int_poly():
 
 
 def roots_coords(p):
-    rs = roots_in_field(p)
-    return rs.complete, [r.coords for r in rs.roots]
+    return [r.coords for r in roots_in_field(p)]
 
 
 def test_quadratic_extension_square_root_with_a_t_part():
     # (1 + t)^2 = 3 + 2t in Q[t]/(t^2 - 2)
     F = Field.extension((-2, 0, 1))
     p = Polynomial(F, [-F.element((3, 2)), F.zero, F.one])
-    assert roots_coords(p) == (True, [(-1, -1), (1, 1)])
+    assert roots_coords(p) == [(-1, -1), (1, 1)]
 
 
 def test_quadratic_extension_product_of_linear_factors():
@@ -193,66 +182,14 @@ def test_quadratic_extension_product_of_linear_factors():
     F = Field.extension((1, 1, 1))
     r1, r2 = F.element((1, 2)), F.element((3, -1))
     p = Polynomial(F, [-r1, F.one]) * Polynomial(F, [-r2, F.one])
-    assert roots_coords(p) == (True, [r1.coords, r2.coords])
+    assert roots_coords(p) == [r1.coords, r2.coords]
 
 
 def test_quadratic_extension_non_square_with_a_t_part():
     # 1 + t is not a square in Q[t]/(t^2 + t + 1)
     F = Field.extension((1, 1, 1))
     p = Polynomial(F, [-F.element((1, 1)), F.zero, F.one])
-    assert roots_coords(p) == (True, [])
-
-
-def brute_factor(n):
-    out = {}
-    d = 2
-    while n > 1:
-        while n % d == 0:
-            out[d] = out.get(d, 0) + 1
-            n //= d
-        d += 1
-    return out
-
-
-def test_factor_int_and_divisors_match_brute_force():
-    from ncquadric.fields import _divisors, _factor_int
-
-    for n in range(1, 1500):
-        assert _factor_int(n) == brute_factor(n)
-        divs = [d for d in range(1, n + 1) if n % d == 0]
-        assert _divisors(n) == _divisors(-n) == divs
-    assert _divisors(0) == [1]
-    # strong pseudoprimes, prime squares and products of large primes
-    known = {
-        3215031751: {151: 1, 751: 1, 28351: 1},
-        2 ** 61 - 1: {2 ** 61 - 1: 1},
-        (2 ** 31 - 1) * (2 ** 41 - 1): {13367: 1, 164511353: 1,
-                                        2147483647: 1},
-        1000000000061 ** 2 * 7 ** 3: {7: 3, 1000000000061: 2},
-        10000000019 * 10000000033: {10000000019: 1, 10000000033: 1},
-    }
-    for n, factors in known.items():
-        assert _factor_int(n) == factors
-    assert _divisors(10000000019 * 10000000033) == [
-        1, 10000000019, 10000000033, 10000000019 * 10000000033]
-
-
-def test_two_squares_and_gaussian_prime_factors():
-    from ncquadric.fields import (_gs_mul, _gs_norm, _gs_prime_factors,
-                                  _two_squares)
-
-    for p in (5, 13, 17, 29, 9973, 1000000000061):
-        a, b = _two_squares(p)
-        assert a * a + b * b == p
-    x = (5 * 1000000000061, 0)
-    factors = _gs_prime_factors(x)
-    prod = (1, 0)
-    for pi, e in factors.items():
-        for _ in range(e):
-            prod = _gs_mul(prod, pi)
-    assert _gs_norm(prod) == _gs_norm(x)
-    assert sorted(_gs_norm(pi) for pi in factors) == [5, 5, 1000000000061,
-                                                      1000000000061]
+    assert roots_coords(p) == []
 
 
 @pytest.mark.parametrize("modulus", [
@@ -260,10 +197,27 @@ def test_two_squares_and_gaussian_prime_factors():
     (99999999999999999989, 0, 0, 0, 1),
 ])
 def test_large_constant_terms_parse(modulus):
-    assert Field.extension(modulus).modulus_verified
+    assert Field.extension(modulus).degree == 4
 
 
 def test_large_quadratic_factor_is_found():
     p, q = 10000000019, 10000000033
     with pytest.raises(ValueError, match=r"quadratic factor t\^2\+10000000019\)$"):
         Field.extension((p * q, 0, p + q, 0, 1))
+
+
+def test_modulus_with_a_large_composite_constant_parses_quickly():
+    # the constant term (2^31-1)(2^61-1) has 28 digits
+    start = time.perf_counter()
+    F = Field.extension(((2 ** 31 - 1) * (2 ** 61 - 1), 0, 0, 0, 1))
+    assert time.perf_counter() - start < 1.0
+    assert F.degree == 4
+
+
+@pytest.mark.parametrize("modulus, message", [
+    ((1, 0, 2, 0, 1), "a quadratic factor t^2+1"),  # (t^2+1)^2
+    ((0, 0, 1), "a rational root"),                 # t^2
+])
+def test_non_squarefree_modulus_names_its_factor(modulus, message):
+    with pytest.raises(ValueError, match=re.escape(f"(has {message})")):
+        Field.extension(modulus)

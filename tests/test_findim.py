@@ -148,19 +148,28 @@ def test_nonsplit_over_rationals(Q):
     assert len(exc.value.partial) >= 1
 
 
-def test_undecided_split_is_not_reported_as_nonsplit():
-    # u^2 = -1 over Q[t]/(t^4+1): t^2 is a root, but the search cannot
-    # certify it, so the split is reported as undecided
+def test_undecided_split_is_not_reported_as_nonsplit(Q, monkeypatch):
+    # M_2(Q) splits; a rank-one search that gives up proves nothing, so
+    # its NonSplit must say undecided
+    monkeypatch.setattr(FiniteDimAlgebra, "_minimal_ideal_idempotent",
+                        lambda self, block, y, n, rng: None)
+    with pytest.raises(NonSplit) as exc:
+        matrix_algebra(Q, 2).primitive_idempotents(seed=0)
+    assert exc.value.decided is False
+    assert exc.value.factor is None
+
+
+def test_square_root_of_minus_one_over_the_eighth_cyclotomic_field():
+    # u^2 = -1 over Q[t]/(t^4+1): t^2 is a root, so the algebra splits
     F = Field.extension([1, 0, 0, 0, 1])
     z, one = F.zero, F.one
     structure = (((one, z), (z, one)), ((z, one), (-one, z)))
     alg = FiniteDimAlgebra(F, ("1", "u"), structure, (one, z))
-    with pytest.raises(NonSplit) as exc:
-        alg.primitive_idempotents(seed=0)
-    assert exc.value.decided is False
-    assert "undecided" in str(exc.value)
-    assert "does not split" not in str(exc.value)
-    assert str(exc.value.factor) == "X^2+1"
+    ids = alg.primitive_idempotents(seed=0).idempotents
+    t2 = F.generator() ** 2
+    half = F.from_rational(Fraction(1, 2))
+    assert sorted(ids, key=lambda v: v[1].coords) == [
+        (half, -half * t2), (half, half * t2)]
 
 
 def test_nonsplit_over_rationals_is_decided(Q):

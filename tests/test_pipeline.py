@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from ncquadric import STAGES, parse_source, run_pipeline
+from ncquadric import FiniteDimAlgebra, STAGES, parse_source, run_pipeline
 
 from helpers import STAGE_CALLS, break_stage
 
@@ -161,29 +161,46 @@ def test_unknown_stage_lookup(golden_report):
 
 NODE_T4 = ("field = Q[t]/(t^4+1)\nvars = x, y\nrel = x*y - y*x\n"
            "central = x*x + y*y\n")
+COMM3 = ("field = Q(i)\nvars = x, y, z\n"
+         "rel = x*y - y*x\nrel = x*z - z*x\nrel = y*z - z*y\n"
+         "central = x*x + y*y + z*z\n")
 
 
-def test_undecided_split_is_reported_as_undecided():
-    # t^2 is a square root of -1 here, so "does not split" would be false
-    report = run_pipeline(parse_source(NODE_T4), degree=6, seed=0)
-    st = stage_status(report)
-    assert st["idempotents"] == "warning"
+def test_undecided_split_is_reported_as_undecided(monkeypatch):
+    # End(M) is M_2(Q(i)) here; stub the rank-one search so it gives up
+    monkeypatch.setattr(FiniteDimAlgebra, "_minimal_ideal_idempotent",
+                        lambda self, block, y, n, rng: None)
+    report = run_pipeline(parse_source(COMM3), degree=5, seed=0,
+                          stop_after="mcm-classification")
     idem = report.stage("idempotents")
-    assert "undecided" in idem.message
-    assert "does not split" not in idem.message
-    assert idem.data["missing factor"] == "X^2+1"
+    assert idem.status == "warning"
+    assert idem.data["missing factor"] == "-"
     assert report.stage("mcm-classification").message == (
         "idempotent splitting is undecided over this field")
     assert not any("does not split" in w for w in report.warnings)
     assert report.verdict is True
-    assert report.exit_code == 0
+
+
+def test_node_over_the_eighth_cyclotomic_field_splits():
+    # t^2 is a square root of -1 in Q[t]/(t^4+1)
+    report = run_pipeline(parse_source(NODE_T4), degree=6, seed=0)
+    assert all(s.status == "ok" for s in report.stages)
+    assert report.exit_code == 0 and report.warnings == []
+    summands = report.stage("mcm-classification").data["summands"]
+    assert [s["cyclic"] for s in summands] == [True, True]
+    assert sorted(s["annihilator"] for s in summands) == ["x+t^2*y",
+                                                          "x-t^2*y"]
+    assert report.stage("dual-crosscheck").data["blocks match"] is True
+
+
+NODE_SQRT2 = NODE_T4.replace("t^4+1", "t^2-2")
 
 
 def test_factor_variable_differs_from_the_field_generator():
-    # over Q[t]/(t^4+1) a factor printed in t would read as a field element
-    report = run_pipeline(parse_source(NODE_T4), degree=6, seed=0)
-    warning = ("splitting of the central characteristic factor X^2+1 over "
-               "Q[t]/(t^4+1) is undecided: the root search is incomplete")
+    # over Q[t]/(m) a factor printed in t would read as a field element;
+    # i is not in Q(sqrt 2), so X^2+1 is proved not to split there
+    report = run_pipeline(parse_source(NODE_SQRT2), degree=6, seed=0)
+    warning = "central characteristic factor does not split over Q[t]/(t^2-2)"
     text = report.to_text()
     assert "\n  missing factor: X^2+1\n" in text
     assert f"\nwarning: {warning}\n" in text
@@ -192,6 +209,8 @@ def test_factor_variable_differs_from_the_field_generator():
     assert data["warnings"] == [warning]
     idem = next(s for s in data["stages"] if s["name"] == "idempotents")
     assert idem["data"]["missing factor"] == "X^2+1"
+    assert report.stage("mcm-classification").message == (
+        "idempotents do not split over this field")
 
 
 def test_corrupt_koszul_space_fails_its_stage(golden_parsed, monkeypatch):
