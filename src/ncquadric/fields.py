@@ -28,11 +28,8 @@ RATIONALS = "rationals"
 GAUSSIAN = "gaussian"
 EXTENSION = "simple-extension"
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-
-# --- polynomial helpers on plain Fraction lists (ascending coefficients) ---
+# --- coefficient lists, ascending ---
 
 
 def _trim(p):
@@ -41,58 +38,11 @@ def _trim(p):
     return p
 
 
-def _fr_divmod(a, b):
-    # b must be nonzero
-    a = list(a)
-    q = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv = 1 / b[-1]
-    while len(a) >= len(b) and a:
-        c = a[-1] * inv
-        k = len(a) - len(b)
-        q[k] = c
-        for i, bi in enumerate(b):
-            a[k + i] -= c * bi
-        _trim(a)
-        if not a:
-            break
-        while len(a) >= len(b) and a[-1] == 0:
-            a.pop()
-    return _trim(q), _trim(a)
-
-
-def _fr_mul(a, b):
-    if not a or not b:
-        return []
-    out = [_ZERO] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return _trim(out)
-
-
-def _fr_sub(a, b):
-    out = list(a) + [_ZERO] * max(0, len(b) - len(a))
-    for i, bi in enumerate(b):
-        out[i] -= bi
-    return _trim(out)
-
-
-def _fr_inverse_mod(a, m):
-    """Inverse of a modulo m in Q[t]; both as Fraction lists, gcd(a, m) = 1."""
-    # extended Euclid
-    r0, r1 = list(m), list(a)
-    s0, s1 = [], [_ONE]
-    while r1:
-        q, r = _fr_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, _fr_sub(s0, _fr_mul(q, s1))
-    # r0 = gcd (nonzero constant when coprime)
-    if len(r0) != 1:
-        raise DivisionByZero("element has no inverse modulo the field modulus")
-    c = 1 / r0[0]
-    return _trim([x * c for x in s0])
+def _times_t(v, m):
+    """Coordinates of t * v in Q[t]/(m) for the monic integer modulus m,
+    v given over 1, t, ..., t^(e-1)."""
+    top = v[-1]
+    return [-top * m[0]] + [v[i - 1] - top * m[i] for i in range(1, len(v))]
 
 
 # --- integer polynomials over Z and Z/m: ascending int lists ---
@@ -578,9 +528,34 @@ class FieldElement:
             if norm < 0:
                 return _make(field, (-conj * d, b * d), -norm)
             raise DivisionByZero("element has no inverse modulo the field modulus")
-        inv = _fr_inverse_mod(_trim(list(self.coords)),
-                              [Fraction(c) for c in field.modulus])
-        return FieldElement(field, list(inv) + [_ZERO] * (e - len(inv)))
+        # the inverse y solves M y = d e_0 for the integer matrix M of
+        # multiplication by num (columns num, t num, ...): fraction-free
+        # Bareiss elimination, then exact integer back-substitution for
+        # x = det(M) y, which is integral
+        cols = [list(self.num)]
+        for _ in range(e - 1):
+            cols.append(_times_t(cols[-1], field.modulus))
+        rows = [[c[i] for c in cols] + [d if i == 0 else 0] for i in range(e)]
+        prev = 1
+        for k in range(e):
+            piv = next((r for r in range(k, e) if rows[r][k]), None)
+            if piv is None:
+                raise DivisionByZero(
+                    "element has no inverse modulo the field modulus")
+            rows[k], rows[piv] = rows[piv], rows[k]
+            pk = rows[k]
+            for row in rows[k + 1:]:
+                for j in range(k + 1, e + 1):
+                    row[j] = (pk[k] * row[j] - row[k] * pk[j]) // prev
+            prev = pk[k]
+        x = [0] * e
+        for i in reversed(range(e)):
+            row = rows[i]
+            acc = prev * row[e] - sum(row[j] * x[j] for j in range(i + 1, e))
+            x[i] = acc // row[i]
+        if prev < 0:
+            return _make(field, tuple([-a for a in x]), -prev)
+        return _make(field, tuple(x), prev)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -929,21 +904,16 @@ def _norm(vectors, m, s):
     integer coordinate vectors v_k: the determinant of multiplication by
     that element of K[x] on the basis 1, t, ..., t^(e-1)."""
     e = len(m) - 1
-
-    def times_t(v):
-        top = v[-1]
-        return [-top * m[0]] + [v[i - 1] - top * m[i] for i in range(1, e)]
-
     poly = []  # Horner in K[x]: x-coefficients as coordinate vectors
     for v in reversed(vectors):
         shifted = [[0] * e] + poly
-        turned = [times_t(w) for w in poly] + [[0] * e]
+        turned = [_times_t(w, m) for w in poly] + [[0] * e]
         poly = [[a - s * b for a, b in zip(u, w)]
                 for u, w in zip(shifted, turned)]
         poly[0] = [a + b for a, b in zip(poly[0], v)]
     cols = [poly]
     for _ in range(e - 1):
-        cols.append([times_t(w) for w in cols[-1]])
+        cols.append([_times_t(w, m) for w in cols[-1]])
     return _det([[_trim([w[i] for w in col]) for col in cols]
                  for i in range(e)])
 

@@ -1,12 +1,15 @@
 """Finite dimensional associative algebras over exact fields.
 
-Structure constants are checked for associativity and a two-sided unit at
-construction time, so everything downstream can trust the table.  The
-semisimplicity test is the trace-form radical (characteristic zero), and
-primitive idempotents come out of a two-stage search: split the center with
-seeded generic elements, then hunt a rank-one idempotent inside each matrix
-block.  Ground fields without the needed eigenvalues surface as NonSplit
-with the partial decomposition preserved.
+An element is a linalg sparse row {basis index: nonzero scalar}, and the
+structure constants are stored once as sparse rows, ``_table[i][j]`` =
+b_i * b_j, checked for associativity and a two-sided unit.  Dense tuples
+appear only at the boundary: constructor input, ``unit``, ``basis_vector``,
+``multiply``, ``min_poly``, the idempotent families and ``NonSplit.partial``.
+The radical is the kernel of the trace form Tr(L_a L_b) = tau(ab), read off
+the table through the trace functional tau(b_m) = sum_k c^k_{mk}.  Primitive
+idempotents: split the center with seeded generic elements, keeping each
+block eAe, then hunt rank-one idempotents inside each matrix block; missing
+eigenvalues raise NonSplit with the partial decomposition.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from math import isqrt
 
 from .errors import AlgebraError, NonSplit, NotSemisimple
 from .fields import Polynomial, roots_in_field
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, add_multiple, sparse_row
 
 
 class SmallRng:
@@ -43,29 +46,43 @@ class IdempotentSet:
         return len(self.idempotents)
 
 
+def _combination(coeffs, rows):
+    """sum_k coeffs[k] * rows[k] for a sparse row of coefficients."""
+    out = {}
+    for k, c in coeffs.items():
+        add_multiple(out, c, rows[k])
+    return out
+
+
+def _column_system(field, cols, rhs=None):
+    """Kernel rows of the system whose columns are the sparse rows cols,
+    keyed by row label; given a sparse rhs, one solution as a dense list
+    (free variables zero, as Matrix.solve gives it) or None."""
+    rows = {}
+    for k, col in enumerate(cols):
+        for pos, x in col.items():
+            rows.setdefault(pos, {})[k] = x
+    for pos in rhs or ():
+        rows.setdefault(pos, {})
+    mat = Matrix._from_sparse(field, list(rows.values()), len(cols))
+    if rhs is None:
+        return mat.kernel().sparse
+    return mat.solve([rhs.get(pos, field.zero) for pos in rows])
+
+
 class FiniteDimAlgebra:
     """An algebra given by basis labels, structure constants, and a unit."""
 
     def __init__(self, field, labels, structure, unit, check=True):
         self.field = field
         self.labels = tuple(labels)
-        self.dim = len(self.labels)
-        sc = []
-        for i in range(self.dim):
-            row = []
-            for j in range(self.dim):
-                vec = tuple(self._coerce_scalar(c) for c in structure[i][j])
-                if len(vec) != self.dim:
-                    raise ValueError("structure constant shape mismatch")
-                row.append(vec)
-            sc.append(tuple(row))
-        self.structure = tuple(sc)
-        self.unit = tuple(self._coerce_scalar(c) for c in unit)
-        if len(self.unit) != self.dim:
-            raise ValueError("unit vector shape mismatch")
+        n = self.dim = len(self.labels)
+        self._table = [[self._row(structure[i][j], "structure constant")
+                        for j in range(n)] for i in range(n)]
+        self._unit = self._row(unit, "unit vector")
+        self.unit = self._tuple(self._unit)
         self._radical = None
-        self._basis_left = None
-        self._central = {}  # seed -> central primitive idempotents
+        self._central = {}  # seed -> [(central primitive e, block eAe)]
         if check:
             self._verify_table()
 
@@ -78,39 +95,51 @@ class FiniteDimAlgebra:
         AlgebraError if a product or the unit leaves the span.
         """
         size = isqrt(span.ambient_dim)
-        mats = [Matrix(field, [row[i * size:(i + 1) * size]
-                               for i in range(size)], ncols=size)
-                for row in span.basis]
 
-        def coords(vec, what):
-            out = span.coords_of(vec)
-            if out is None:
+        def coords(flat, what):
+            taken = span.reduce_sparse(flat)
+            if flat:
                 raise AlgebraError(f"{what} leaves the span of the matrices")
-            return out
+            return dict(taken)
 
-        structure = [[coords([c for r in (a * b).rows for c in r],
-                             "a product")
+        mats = [Matrix._from_sparse(field, [
+            {c % size: x for c, x in flat.items() if c // size == r}
+            for r in range(size)], size) for flat in span.sparse]
+        structure = [[coords({r * size + c: x
+                              for r, row in enumerate((a * b).sparse)
+                              for c, x in row.items()}, "a product")
                       for b in mats] for a in mats]
-        return cls(field, labels, structure, coords(list(unit), "the unit"))
+        return cls(field, labels, structure,
+                   coords(sparse_row(field, unit), "the unit"))
 
-    def _coerce_scalar(self, c):
-        return c if hasattr(c, "field") else self.field.element(c)
+    def _row(self, vec, what):
+        """A dense vector from outside as a sparse row; sparse rows pass."""
+        if type(vec) is dict:
+            return vec
+        vec = list(vec)
+        if len(vec) != self.dim:
+            raise ValueError(f"{what} shape mismatch")
+        return sparse_row(self.field, vec)
+
+    def _tuple(self, v):
+        return tuple(v.get(k, self.field.zero) for k in range(self.dim))
 
     def _verify_table(self):
-        n = self.dim
-        basis = [self.basis_vector(i) for i in range(n)]
+        n, table, unit = self.dim, self._table, self._unit
+        one = self.field.one
         for i in range(n):
-            if self.multiply(self.unit, basis[i]) != basis[i]:
+            b = {i: one}
+            if self._mul(unit, b) != b:
                 raise AlgebraError("unit is not a left unit")
-            if self.multiply(basis[i], self.unit) != basis[i]:
+            if self._mul(b, unit) != b:
                 raise AlgebraError("unit is not a right unit")
-        for i in range(n):
-            for j in range(n):
-                ij = self.structure[i][j]
-                for k in range(n):
-                    left = self.multiply(ij, basis[k])
-                    right = self.multiply(basis[i], self.structure[j][k])
-                    if left != right:
+        for k in range(n):
+            col = [table[m][k] for m in range(n)]
+            for i in range(n):
+                for j in range(n):
+                    # (b_i b_j) b_k against b_i (b_j b_k)
+                    if (_combination(table[i][j], col)
+                            != _combination(table[j][k], table[i])):
                         raise AlgebraError(
                             f"structure constants are not associative at "
                             f"({self.labels[i]}, {self.labels[j]}, "
@@ -119,74 +148,50 @@ class FiniteDimAlgebra:
     # -- element arithmetic --------------------------------------------------
 
     def basis_vector(self, i):
-        z = self.field.zero
-        return tuple(self.field.one if k == i else z for k in range(self.dim))
+        return self._tuple({i: self.field.one})
 
-    def zero_vector(self):
-        return (self.field.zero,) * self.dim
-
-    def coerce(self, vec):
-        out = tuple(self._coerce_scalar(c) for c in vec)
-        if len(out) != self.dim:
-            raise ValueError("element vector shape mismatch")
+    def _mul(self, a, b):
+        out = {}
+        for i, x in a.items():
+            row = self._table[i]
+            for j, y in b.items():
+                t = row[j]
+                if t:
+                    add_multiple(out, x * y, t)
         return out
 
-    def add(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        return tuple(x - y for x, y in zip(a, b))
-
-    def scale(self, c, a):
-        return tuple(c * x for x in a)
-
     def multiply(self, a, b):
-        out = [self.field.zero] * self.dim
-        for i, ai in enumerate(a):
-            if not ai:
-                continue
-            row = self.structure[i]
-            for j, bj in enumerate(b):
-                if not bj:
-                    continue
-                cij = ai * bj
-                for k, sk in enumerate(row[j]):
-                    if sk:
-                        out[k] = out[k] + cij * sk
-        return tuple(out)
+        return self._tuple(self._mul(self._row(a, "element vector"),
+                                     self._row(b, "element vector")))
 
-    def eval_poly(self, poly, a, unit=None):
+    def _eval_poly(self, poly, a, unit):
         """poly(a), with poly's constant term times the given unit."""
-        unit = self.unit if unit is None else unit
-        acc = self.zero_vector()
+        acc = {}
         for c in reversed(poly.coeffs):
-            acc = self.multiply(acc, a)
+            acc = self._mul(acc, a)
             if c:
-                acc = self.add(acc, self.scale(c, unit))
+                add_multiple(acc, c, unit)
         return acc
 
-    def left_mult_matrix(self, a):
-        cols = [self.multiply(a, self.basis_vector(j)) for j in range(self.dim)]
-        rows = [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
-        return Matrix(self.field, rows, ncols=self.dim)
+    def _random_element(self, space, rng):
+        """A seeded combination of the basis rows of a subspace."""
+        coeffs = [rng.small_coeff() for _ in space.sparse]
+        return _combination({k: self.field.from_rational(c)
+                             for k, c in enumerate(coeffs) if c}, space.sparse)
 
     # -- semisimplicity ------------------------------------------------------
 
-    def _basis_left_mults(self):
-        if self._basis_left is None:
-            self._basis_left = [self.left_mult_matrix(self.basis_vector(i))
-                                for i in range(self.dim)]
-        return self._basis_left
-
     def radical(self):
-        """Kernel of the trace form of the left regular representation."""
+        """Kernel of the trace form Tr(L_a L_b) = tau(ab)."""
         if self._radical is None:
-            lm = self._basis_left_mults()
-            rows = [[(lm[i] * lm[j]).trace() for j in range(self.dim)]
-                    for i in range(self.dim)]
-            gram = Matrix(self.field, rows, ncols=self.dim)
-            self._radical = Subspace.span(self.field, self.dim,
-                                          gram.kernel().rows)
+            n, table, z = self.dim, self._table, self.field.zero
+            tau = [sum((table[m][k].get(k, z) for k in range(n)), z)
+                   for m in range(n)]
+            gram = Matrix(self.field, [
+                [sum((x * tau[m] for m, x in table[i][j].items()), z)
+                 for j in range(n)] for i in range(n)], ncols=n)
+            self._radical = Subspace._span_sparse(self.field, n,
+                                                  gram.kernel().sparse)
         return self._radical
 
     def is_semisimple(self):
@@ -196,62 +201,56 @@ class FiniteDimAlgebra:
         rad = self.radical()
         if rad.dim == 0:
             return self
-        pivot_set = set(rad.pivots)
-        free = [c for c in range(self.dim) if c not in pivot_set]
+        free = [c for c in range(self.dim) if c not in set(rad.pivots)]
+        index = {c: k for k, c in enumerate(free)}
 
         def project(vec):
-            resid = rad.reduce(list(vec))
-            return tuple(resid[c] for c in free)
+            vec = dict(vec)
+            rad.reduce_sparse(vec)
+            return {index[c]: x for c, x in vec.items()}
 
         labels = tuple(self.labels[c] for c in free)
-        sc = []
-        for c in free:
-            row = []
-            ec = self.basis_vector(c)
-            for d in free:
-                row.append(project(self.multiply(ec, self.basis_vector(d))))
-            sc.append(row)
-        return FiniteDimAlgebra(self.field, labels, sc, project(self.unit))
+        table = [[project(self._table[c][d]) for d in free] for c in free]
+        return FiniteDimAlgebra(self.field, labels, table,
+                                project(self._unit))
 
     def center(self):
         return self._commutant(Subspace.full(self.field, self.dim))
 
     def _commutant(self, block):
         """Elements of the block commuting with every block basis element."""
-        q = block.dim
-        rows = []
-        for x in block.basis:
-            cols = []
-            for k in range(q):
-                bk = block.basis[k]
-                cols.append(self.sub(self.multiply(bk, x),
-                                     self.multiply(x, bk)))
-            for pos in range(self.dim):
-                rows.append([cols[k][pos] for k in range(q)])
-        mat = Matrix(self.field, rows, ncols=q)
-        sols = mat.kernel()
-        vectors = []
-        for coords in sols.rows:
-            v = self.zero_vector()
-            for k, c in enumerate(coords):
-                if c:
-                    v = self.add(v, self.scale(c, block.basis[k]))
-            vectors.append(list(v))
-        return Subspace.span(self.field, self.dim, vectors)
+        basis = block.sparse
+        minus = -self.field.one
+
+        def bracket(x, b):
+            out = self._mul(b, x)
+            add_multiple(out, minus, self._mul(x, b))
+            return out
+
+        kernel = _column_system(self.field, self._stacked(basis, bracket))
+        return Subspace._span_sparse(
+            self.field, self.dim, [_combination(c, basis) for c in kernel])
+
+    def _stacked(self, basis, product):
+        """Columns k of sum_k s_k product(r, basis[k]), r over basis."""
+        cols = [{} for _ in basis]
+        for ri, r in enumerate(basis):
+            for k, b in enumerate(basis):
+                for pos, c in product(r, b).items():
+                    cols[k][ri, pos] = c
+        return cols
 
     def min_poly(self, a, unit=None):
         """Monic minimal polynomial of a, relative to the given unit."""
-        unit = self.unit if unit is None else unit
-        a = self.coerce(a)
-        powers = [tuple(unit)]
-        cur = tuple(unit)
+        a = self._row(a, "element vector")
+        powers = [self._unit if unit is None
+                  else self._row(unit, "unit vector")]
         while True:
-            cur = self.multiply(cur, a)
-            mat = Matrix(self.field, [list(p) for p in powers]).transpose()
-            sol = mat.solve(list(cur))
+            cur = self._mul(powers[-1], a)
+            sol = _column_system(self.field, powers, cur)
             if sol is not None:
-                coeffs = [-c for c in sol] + [self.field.one]
-                return Polynomial(self.field, coeffs)
+                return Polynomial(self.field,
+                                  [-c for c in sol] + [self.field.one])
             powers.append(cur)
             if len(powers) > self.dim + 1:
                 raise AlgebraError("minimal polynomial search ran away")
@@ -259,54 +258,48 @@ class FiniteDimAlgebra:
     # -- idempotents -----------------------------------------------------------
 
     def _block_subspace(self, e):
-        vectors = []
-        for i in range(self.dim):
-            vectors.append(list(self.multiply(
-                self.multiply(e, self.basis_vector(i)), e)))
-        return Subspace.span(self.field, self.dim, vectors)
+        one = self.field.one
+        return Subspace._span_sparse(
+            self.field, self.dim,
+            [self._mul(self._mul(e, {i: one}), e) for i in range(self.dim)])
 
     def central_primitive_idempotents(self, seed=0):
         """Orthogonal central idempotents with simple block centers.
 
         Raises NonSplit when the ground field misses eigenvalues, carrying
         the partial orthogonal decomposition found so far.  A split is
-        computed once per seed and handed out as a fresh list; a NonSplit
+        computed once per seed, together with each block eAe; a NonSplit
         is not kept, so asking again raises it again.
         """
+        return [self._tuple(e) for e, _ in self._blocks(seed)]
+
+    def _blocks(self, seed):
         done = self._central.get(seed)
         if done is None:
-            done = self._split_center(seed)
-            self._central[seed] = done
-        return list(done)
+            done = self._central[seed] = self._split_center(seed)
+        return done
 
     def _split_center(self, seed):
         rng = SmallRng(seed)
-        work = [tuple(self.unit)]
+        work = [self._unit]
         done = []
         while work:
             e = work.pop(0)
             block = self._block_subspace(e)
             zc = self._commutant(block)
             if zc.dim <= 1:
-                done.append(e)
+                done.append((e, block))
                 continue
-            pieces = self._split_central_once(e, zc, rng,
-                                              partial_rest=done + work)
-            work = pieces + work
+            work = self._split_central_once(
+                e, zc, rng, partial_rest=[d for d, _ in done] + work) + work
         return done
 
     def _split_central_once(self, e, zc, rng, partial_rest):
         best = None
-        candidates = [tuple(b) for b in zc.basis]
-        for _ in range(32):
-            v = self.zero_vector()
-            for b in zc.basis:
-                c = rng.small_coeff()
-                if c:
-                    v = self.add(v, self.scale(self.field.from_rational(c), b))
-            candidates.append(v)
+        candidates = list(zc.sparse)
+        candidates += [self._random_element(zc, rng) for _ in range(32)]
         for x in candidates:
-            if all(not c for c in x):
+            if not x:
                 continue
             m = self.min_poly(x, unit=e)
             if m.degree < 2:
@@ -319,28 +312,26 @@ class FiniteDimAlgebra:
             raise AlgebraError("central splitting found no usable element")
         x, m = best
         roots = roots_in_field(m)
+        one = self.field.one
         pieces = []
+        factor = m
         for lam in roots:
-            t_minus = Polynomial(self.field, [-lam, self.field.one])
+            t_minus = Polynomial(self.field, [-lam, one])
+            factor = factor // t_minus
             h = m // t_minus
-            val = self.eval_poly(h, x, unit=e)
-            denom = h(lam)
-            piece = self.scale(denom.inverse(), val)
-            if self.multiply(piece, piece) != piece:
+            inv = h(lam).inverse()
+            piece = {k: inv * c for k, c in self._eval_poly(h, x, e).items()}
+            if self._mul(piece, piece) != piece:
                 raise AlgebraError("central idempotent candidate failed")
             pieces.append(piece)
         if len(roots) < m.degree:
-            residual = tuple(e)
+            residual = dict(e)
             for p in pieces:
-                residual = self.sub(residual, p)
-            factor = m
-            for lam in roots:
-                factor = factor // Polynomial(self.field,
-                                              [-lam, self.field.one])
-            partial = tuple(partial_rest) + tuple(pieces) + (residual,)
+                add_multiple(residual, -one, p)
+            partial = partial_rest + pieces + [residual]
             raise NonSplit("central characteristic factor does not split "
                            f"over {self.field.describe()}", factor=factor,
-                           partial=partial)
+                           partial=tuple(map(self._tuple, partial)))
         return pieces
 
     def primitive_idempotents(self, seed=0):
@@ -350,50 +341,46 @@ class FiniteDimAlgebra:
                 "algebra")
         rng = SmallRng(seed ^ 0x5DEECE)
         prims = []
-        for e in self.central_primitive_idempotents(seed):
-            prims.extend(self._split_block(e, rng, prims))
-        total = self.zero_vector()
+        for e, block in self._blocks(seed):
+            prims.extend(self._split_block(e, block, rng, prims))
+        total = {}
         for p in prims:
-            for q in prims:
-                prod = self.multiply(p, q)
-                want = p if p == q else self.zero_vector()
-                if prod != want:
-                    raise AlgebraError("idempotent family is not orthogonal")
-            total = self.add(total, p)
-        if total != self.unit:
+            if any(self._mul(p, q) != (p if p == q else {}) for q in prims):
+                raise AlgebraError("idempotent family is not orthogonal")
+            add_multiple(total, self.field.one, p)
+        if total != self._unit:
             raise AlgebraError("idempotent family does not sum to the unit")
-        return IdempotentSet(tuple(prims), "primitive")
+        return IdempotentSet(tuple(map(self._tuple, prims)), "primitive")
 
-    def _split_block(self, e, rng, found_so_far):
-        block = self._block_subspace(e)
-        q = block.dim
-        if q == 1:
-            return [e]
-        n = isqrt(q)
-        if n * n != q:
+    def _matrix_size(self, block, partial):
+        """n for a simple block of dimension n^2; NonSplit otherwise."""
+        n = isqrt(block.dim)
+        if n * n != block.dim:
             raise NonSplit(
                 "simple block dimension is not a perfect square over "
                 f"{self.field.describe()}",
-                partial=tuple(found_so_far) + (tuple(e),))
-        prims = []
-        current = tuple(e)
-        cur_block = block
-        cur_n = n
-        while cur_n > 1:
+                partial=tuple(map(self._tuple, partial)))
+        return n
+
+    def _split_block(self, e, block, rng, found_so_far):
+        if block.dim == 1:
+            return [e]
+        n = self._matrix_size(block, found_so_far + [e])
+        prims, current, cur_block = [], e, block
+        for cur_n in range(n, 1, -1):
             e1 = self._rank_one_idempotent(current, cur_block, cur_n, n, rng,
-                                           tuple(found_so_far) + tuple(prims))
+                                           found_so_far + prims)
             prims.append(e1)
-            current = self.sub(current, e1)
+            current = dict(current)
+            add_multiple(current, -self.field.one, e1)
             cur_block = self._block_subspace(current)
-            cur_n -= 1
-            if cur_block.dim != cur_n * cur_n:
+            if cur_block.dim != (cur_n - 1) ** 2:
                 raise AlgebraError("block splitting lost track of dimensions")
-        prims.append(current)
-        return prims
+        return prims + [current]
 
     def _left_ideal(self, block, y):
-        vectors = [list(self.multiply(b, y)) for b in block.basis]
-        return Subspace.span(self.field, self.dim, vectors)
+        return Subspace._span_sparse(self.field, self.dim,
+                                     [self._mul(b, y) for b in block.sparse])
 
     def _rank_one_idempotent(self, e, block, cur_n, n, rng, partial):
         """A primitive idempotent inside the block eFe of matrix size cur_n.
@@ -402,27 +389,25 @@ class FiniteDimAlgebra:
         singular, shrink the left ideal it generates down to minimal size n,
         then solve for the right unit of that ideal.
         """
-        candidates = [tuple(b) for b in block.basis]
-        for i, bi in enumerate(block.basis):
-            for bj in block.basis[i + 1:]:
-                candidates.append(self.add(bi, bj))
-                candidates.append(tuple(self.multiply(bi, bj)))
-        for _ in range(32):
-            v = self.zero_vector()
-            for b in block.basis:
-                c = rng.small_coeff()
-                if c:
-                    v = self.add(v, self.scale(self.field.from_rational(c), b))
-            candidates.append(v)
+        basis = block.sparse
+        one = self.field.one
+        candidates = list(basis)
+        for i, bi in enumerate(basis):
+            for j in range(i + 1, len(basis)):
+                candidates += [_combination({i: one, j: one}, basis),
+                               self._mul(bi, basis[j])]
+        candidates += [self._random_element(block, rng) for _ in range(32)]
         for x in candidates:
-            if all(not c for c in x):
+            if not x:
                 continue
             m = self.min_poly(x, unit=e)
             if m.degree < 1:
                 continue
             for lam in roots_in_field(m):
-                y = self.sub(x, self.scale(lam, e))
-                if all(not c for c in y):
+                y = dict(x)
+                if lam:
+                    add_multiple(y, -lam, e)
+                if not y:
                     continue
                 result = self._minimal_ideal_idempotent(block, y, n, rng)
                 if result is not None:
@@ -430,55 +415,33 @@ class FiniteDimAlgebra:
         raise NonSplit(
             "no in-field eigenvalue produced a rank-one idempotent in a "
             f"block of matrix size {cur_n} over {self.field.describe()}",
-            partial=partial + (tuple(e),), decided=False)
+            partial=tuple(map(self._tuple, partial + [e])), decided=False)
 
     def _minimal_ideal_idempotent(self, block, y, n, rng):
         ideal = self._left_ideal(block, y)
         for _ in range(16):
-            if ideal.dim == 0:
+            if ideal.dim in (0, n):
+                return self._right_unit_of(ideal) if ideal.dim else None
+            dim = ideal.dim
+            inner = list(ideal.sparse)
+            inner += [self._random_element(ideal, rng) for _ in range(16)]
+            ideal = next((cand for cand in (self._left_ideal(block, z)
+                                            for z in inner if z)
+                          if 0 < cand.dim < dim), None)
+            if ideal is None:
                 return None
-            if ideal.dim == n:
-                return self._right_unit_of(ideal)
-            shrunk = None
-            inner = [tuple(b) for b in ideal.basis]
-            for _ in range(16):
-                v = self.zero_vector()
-                for b in ideal.basis:
-                    c = rng.small_coeff()
-                    if c:
-                        v = self.add(v, self.scale(
-                            self.field.from_rational(c), b))
-                inner.append(v)
-            for z in inner:
-                if all(not c for c in z):
-                    continue
-                cand = self._left_ideal(block, z)
-                if 0 < cand.dim < ideal.dim:
-                    shrunk = cand
-                    break
-            if shrunk is None:
-                return None
-            ideal = shrunk
         return None
 
     def _right_unit_of(self, ideal):
         """Solve l * u = l for all l in the ideal; any solution is idempotent."""
-        q = ideal.dim
-        rows = []
-        rhs = []
-        for l in ideal.basis:
-            cols = [self.multiply(l, b) for b in ideal.basis]
-            for pos in range(self.dim):
-                rows.append([cols[k][pos] for k in range(q)])
-                rhs.append(l[pos])
-        sol = Matrix(self.field, rows, ncols=q).solve(rhs)
+        basis = ideal.sparse
+        rhs = {(li, pos): c for li, l in enumerate(basis)
+               for pos, c in l.items()}
+        sol = _column_system(self.field, self._stacked(basis, self._mul), rhs)
         if sol is None:
             return None
-        u = self.zero_vector()
-        for k, c in enumerate(sol):
-            if c:
-                u = self.add(u, self.scale(c, ideal.basis[k]))
-        if self.multiply(u, u) != u or all(not c for c in u):
+        u = _combination({k: c for k, c in enumerate(sol) if c}, basis)
+        if not u or self._mul(u, u) != u:
             return None
         return u
 
@@ -486,13 +449,5 @@ class FiniteDimAlgebra:
         """Multiset of matrix sizes of the simple blocks, smallest first."""
         if not self.is_semisimple():
             raise NotSemisimple("block structure requires a semisimple algebra")
-        sizes = []
-        for e in self.central_primitive_idempotents(seed):
-            q = self._block_subspace(e).dim
-            n = isqrt(q)
-            if n * n != q:
-                raise NonSplit(
-                    "simple block dimension is not a perfect square over "
-                    f"{self.field.describe()}", partial=(tuple(e),))
-            sizes.append(n)
-        return tuple(sorted(sizes))
+        return tuple(sorted(self._matrix_size(block, [e])
+                            for e, block in self._blocks(seed)))

@@ -144,11 +144,28 @@ def is_subspace_of(sub, other):
     return all(other.contains(b) for b in sub.basis)
 
 
-def right_mult_matrix(alg, a):
-    """Matrix of x -> x * a on a finite-dimensional algebra."""
-    cols = [alg.multiply(alg.basis_vector(j), a) for j in range(alg.dim)]
+def _mult_matrix(alg, times):
+    cols = [times(alg.basis_vector(j)) for j in range(alg.dim)]
     rows = [[cols[j][k] for j in range(alg.dim)] for k in range(alg.dim)]
     return Matrix(alg.field, rows, ncols=alg.dim)
+
+
+def left_mult_matrix(alg, a):
+    """Matrix of x -> a * x on a finite-dimensional algebra."""
+    return _mult_matrix(alg, lambda x: alg.multiply(a, x))
+
+
+def right_mult_matrix(alg, a):
+    """Matrix of x -> x * a on a finite-dimensional algebra."""
+    return _mult_matrix(alg, lambda x: alg.multiply(x, a))
+
+
+def trace_form_radical(alg):
+    """Kernel of the Gram matrix Tr(L_i L_j) of the left regular
+    representation, built from products of left multiplication matrices."""
+    lm = [left_mult_matrix(alg, alg.basis_vector(i)) for i in range(alg.dim)]
+    gram = Matrix(alg.field, [[(a * b).trace() for b in lm] for a in lm])
+    return Subspace.span(alg.field, alg.dim, gram.kernel().rows)
 
 
 # -- reference scalar arithmetic on Fraction coordinates -----------------------
@@ -176,6 +193,40 @@ def fraction_mul(field, a, b):
         for i in range(e):
             conv[k - e + i] -= c * m[i]
     return tuple(conv[:e])
+
+
+def _fraction_divmod(a, b):
+    a, q = list(a), [Fraction(0)] * max(0, len(a) - len(b) + 1)
+    while len(a) >= len(b):
+        c = a[-1] / b[-1]
+        k = len(a) - len(b)
+        q[k] = c
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+        while a and a[-1] == 0:
+            a.pop()
+    return q, a
+
+
+def fraction_inverse(field, a):
+    """Inverse of a coordinate tuple of Fractions in Q[t]/(m): the extended
+    Euclidean algorithm on Fraction coefficient lists."""
+    r0, r1 = [Fraction(c) for c in field.modulus], list(a)
+    while r1 and r1[-1] == 0:
+        r1.pop()
+    s0, s1 = [], [Fraction(1)]
+    while r1:
+        q, r = _fraction_divmod(r0, r1)
+        qs = [Fraction(0)] * max(len(s0), len(q) + len(s1) - 1)
+        for i, x in enumerate(s0):
+            qs[i] += x
+        for i, x in enumerate(q):
+            for j, y in enumerate(s1):
+                qs[i + j] -= x * y
+        r0, r1, s0, s1 = r1, r, s1, qs
+    assert len(r0) == 1, "not invertible modulo the modulus"
+    out = [x / r0[0] for x in s0] + [Fraction(0)] * field.degree
+    return tuple(out[:field.degree])
 
 
 # -- reference dense elimination -----------------------------------------------

@@ -1,11 +1,12 @@
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from ncquadric import AlgebraError, Field, FiniteDimAlgebra, NonSplit, \
-    NotSemisimple, Polynomial, SmallRng, Subspace
+    NotSemisimple, SmallRng, Subspace, end_algebra, stable_dual_algebra
 
-from helpers import right_mult_matrix
+from helpers import load_context, right_mult_matrix, trace_form_radical
 
 
 @pytest.fixture(scope="module")
@@ -96,12 +97,11 @@ def test_matrix_algebra_semisimple(Q):
     assert m2.center().dim == 1
     idems = m2.primitive_idempotents(seed=0)
     assert len(idems) == 2
-    unit = m2.unit
-    total = m2.zero_vector()
+    total = (Q.zero,) * m2.dim
     for e in idems.idempotents:
         assert m2.multiply(e, e) == e
-        total = m2.add(total, e)
-    assert total == tuple(unit)
+        total = tuple(x + y for x, y in zip(total, e))
+    assert total == m2.unit
     a, b = idems.idempotents
     assert not any(m2.multiply(a, b))
     assert not any(m2.multiply(b, a))
@@ -127,16 +127,6 @@ def test_min_poly(Q):
     e11 = m2.basis_vector(0)
     assert str(m2.min_poly(e11)) == "t^2-t"
     assert str(m2.min_poly(m2.unit)) == "t-1"
-
-
-def test_eval_poly(Q):
-    m2 = matrix_algebra(Q, 2)
-    e11 = m2.basis_vector(0)
-    p = Polynomial.from_ints(Q, [-1, 0, 2])  # 2t^2 - 1
-    got = m2.eval_poly(p, e11)
-    want = m2.sub(m2.scale(Q.from_rational(2), e11),
-                  list(m2.unit))
-    assert got == tuple(want)
 
 
 def test_nonsplit_over_rationals(Q):
@@ -220,8 +210,6 @@ def test_left_right_mult_matrices(Q):
     m2 = matrix_algebra(Q, 2)
     a = m2.basis_vector(1)  # E12
     b = m2.basis_vector(2)  # E21
-    lm = m2.left_mult_matrix(a)
-    assert list(lm.apply(list(b))) == list(m2.multiply(a, b))
     rm = right_mult_matrix(m2, a)
     assert list(rm.apply(list(b))) == list(m2.multiply(b, a))
 
@@ -260,3 +248,41 @@ def test_of_matrices_rejects_a_unit_outside_the_span(Q):
     with pytest.raises(AlgebraError):
         FiniteDimAlgebra.of_matrices(Q, ("e11",), span,
                                      [Q.one, Q.zero, Q.zero, Q.one])
+
+
+def test_radical_is_the_kernel_of_the_trace_form(Q, golden_end, cusp_ctx):
+    # the radical is read off the trace functional; the reference builds
+    # Tr(L_i L_j) from left multiplication matrices made with multiply
+    triangular = FiniteDimAlgebra.of_matrices(
+        Q, ("e11", "e12", "e22"),
+        flat_span(Q, [((1, 0), (0, 0)), ((0, 1), (0, 0)), ((0, 0), (0, 1))]),
+        [Q.one, Q.zero, Q.zero, Q.one])
+    cases = [
+        (matrix_algebra(Q, 2), 0),
+        (dual_numbers(Q), 1),
+        (triangular, 1),
+        (golden_end.algebra, 0),
+        (end_algebra(cusp_ctx).algebra, 1),
+        (stable_dual_algebra(cusp_ctx).algebra, 1),
+    ]
+    for alg, rad_dim in cases:
+        assert alg.radical() == trace_form_radical(alg)
+        assert alg.radical().dim == rad_dim
+
+
+def test_block_structure_reuses_the_blocks_of_the_central_split(monkeypatch):
+    skew4 = Path(__file__).resolve().parent.parent / "bench" / "corpus" / \
+        "skew4.pres"
+    alg = end_algebra(load_context(skew4, bound=4)).algebra
+    idems = alg.primitive_idempotents(seed=3)
+    real = FiniteDimAlgebra._block_subspace
+    calls = []
+
+    def counting(self, e):
+        calls.append(e)
+        return real(self, e)
+
+    monkeypatch.setattr(FiniteDimAlgebra, "_block_subspace", counting)
+    sizes = alg.block_structure(seed=3)
+    assert calls == []
+    assert sum(sizes) == len(idems)

@@ -189,8 +189,10 @@ def test_end_algebra_structure_is_the_matrix_product(golden_ctx, golden_end):
     def coords(f):
         return tuple(sol.coords_of([c for row in f.rows for c in row]))
 
-    assert golden_end.algebra.structure == tuple(
-        tuple(coords(a * b) for b in mats) for a in mats)
+    alg = golden_end.algebra
+    basis = [alg.basis_vector(i) for i in range(alg.dim)]
+    assert [[alg.multiply(a, b) for b in basis] for a in basis] == \
+        [[coords(a * b) for b in mats] for a in mats]
     ident = [field.one if j == k else field.zero
              for j in range(m) for k in range(m)]
     assert golden_end.algebra.unit == tuple(sol.coords_of(ident))

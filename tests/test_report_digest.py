@@ -22,3 +22,18 @@ def test_report_digest_repeats():
         ("0", "text"), ("0", "json"), ("1", "text"), ("1", "json")]
     assert len({line.split()[0] for line in first}) == 4
     assert digest_node() == first
+
+
+def test_input_reports_match_the_pinned_digests():
+    # tests/report_digests.txt pins the reports of every inputs/*.pres at
+    # degree 6, seeds 0 and 1; a change that alters a report on purpose
+    # regenerates the file with the same command per input
+    pinned = (ROOT / "tests" / "report_digests.txt").read_text().splitlines()
+    got = []
+    for path in sorted((ROOT / "inputs").glob("*.pres")):
+        got += subprocess.run(
+            [sys.executable, str(ROOT / "scripts" / "report_digest.py"),
+             "--input", f"inputs/{path.name}", "--degree", "6",
+             "--seeds", "0", "1"],
+            capture_output=True, text=True, check=True).stdout.splitlines()
+    assert got == pinned

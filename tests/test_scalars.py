@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import fraction_add, fraction_mul
+from helpers import fraction_add, fraction_inverse, fraction_mul
 
 from ncquadric import Field, FieldMismatch
 
@@ -105,3 +105,27 @@ def test_mixing_fields_raises():
                 with pytest.raises(FieldMismatch):
                     op(x, y)
             assert x != y
+
+
+INVERSE_FIELDS = {
+    "t^3-2": Field.extension((-2, 0, 0, 1)),
+    "t^4+1": Field.extension((1, 0, 0, 0, 1)),
+    "t^4-10t^2+1": Field.extension((1, 0, -10, 0, 1)),
+    "t^6-2": Field.extension((-2, 0, 0, 0, 0, 0, 1)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_inverse_matches_the_fraction_euclid(name, data):
+    # fields of degree >= 3 invert by an integer linear solve; the
+    # reference is the extended Euclid on Fraction coefficient lists
+    field = INVERSE_FIELDS[name]
+    a = field.element(data.draw(st.tuples(*[rationals] * field.degree)))
+    if not a:
+        return
+    inv = a.inverse()
+    assert a * inv == field.one
+    assert canonical(inv)
+    assert inv.coords == fraction_inverse(field, a.coords)
