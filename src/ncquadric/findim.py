@@ -19,7 +19,7 @@ from math import isqrt
 
 from .errors import AlgebraError, NonSplit, NotSemisimple
 from .fields import Polynomial, roots_in_field
-from .linalg import Matrix, Subspace, add_multiple, sparse_row
+from .linalg import Matrix, Subspace, add_multiple, column_system, sparse_row
 
 
 class SmallRng:
@@ -52,22 +52,6 @@ def _combination(coeffs, rows):
     for k, c in coeffs.items():
         add_multiple(out, c, rows[k])
     return out
-
-
-def _column_system(field, cols, rhs=None):
-    """Kernel rows of the system whose columns are the sparse rows cols,
-    keyed by row label; given a sparse rhs, one solution as a dense list
-    (free variables zero, as Matrix.solve gives it) or None."""
-    rows = {}
-    for k, col in enumerate(cols):
-        for pos, x in col.items():
-            rows.setdefault(pos, {})[k] = x
-    for pos in rhs or ():
-        rows.setdefault(pos, {})
-    mat = Matrix._from_sparse(field, list(rows.values()), len(cols))
-    if rhs is None:
-        return mat.kernel().sparse
-    return mat.solve([rhs.get(pos, field.zero) for pos in rows])
 
 
 class FiniteDimAlgebra:
@@ -227,7 +211,7 @@ class FiniteDimAlgebra:
             add_multiple(out, minus, self._mul(x, b))
             return out
 
-        kernel = _column_system(self.field, self._stacked(basis, bracket))
+        kernel = column_system(self.field, self._stacked(basis, bracket))
         return Subspace._span_sparse(
             self.field, self.dim, [_combination(c, basis) for c in kernel])
 
@@ -247,7 +231,7 @@ class FiniteDimAlgebra:
                   else self._row(unit, "unit vector")]
         while True:
             cur = self._mul(powers[-1], a)
-            sol = _column_system(self.field, powers, cur)
+            sol = column_system(self.field, powers, cur)
             if sol is not None:
                 return Polynomial(self.field,
                                   [-c for c in sol] + [self.field.one])
@@ -437,7 +421,7 @@ class FiniteDimAlgebra:
         basis = ideal.sparse
         rhs = {(li, pos): c for li, l in enumerate(basis)
                for pos, c in l.items()}
-        sol = _column_system(self.field, self._stacked(basis, self._mul), rhs)
+        sol = column_system(self.field, self._stacked(basis, self._mul), rhs)
         if sol is None:
             return None
         u = _combination({k: c for k, c in enumerate(sol) if c}, basis)

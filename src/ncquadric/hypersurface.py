@@ -4,9 +4,11 @@ Given a quantum polynomial algebra S and a central regular element w of
 degree 2, the quotient A is presented by the relations of S together with
 w.  The key player is the d-th syzygy module M of the trivial module
 (d = dim V - 1), presented by the Koszul space C_d with relations C_(d+1).
-Its graded endomorphism algebra decides whether A is an isolated
-singularity, and the localized quadratic dual gives an independent second
-construction of the same algebra.
+Its degree-0 endomorphism algebra, hom_space(M, M, 0), decides whether A is
+an isolated singularity, and the localized quadratic dual gives an
+independent second construction of the same algebra.  Every product matrix
+in both routes is read off the sparse generator tables through
+quadratic.right_action.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from dataclasses import dataclass
 from .errors import (NoStableCentral, NotCentral, NotRegularCertificate,
                      RelationDependence, UnsupportedDimension)
 from .findim import FiniteDimAlgebra
-from .linalg import Matrix, Subspace
-from .modules import ModulePresentation
-from .quadratic import QuadraticPresentation, is_regular_deg2
+from .linalg import Matrix, Subspace, add_multiple, column_system
+from .modules import GradedModule, ModulePresentation, hom_space, map_matrix
+from .quadratic import QuadraticPresentation, is_regular_deg2, right_action
 from .tensors import KOSZUL_DUAL, koszul_space, koszul_transition
 
 
@@ -107,47 +109,31 @@ class EndAlgebraResult:
     solution: Subspace
     basis_matrices: tuple
     algebra: FiniteDimAlgebra
+    module: GradedModule  # the syzygy module the maps act on
 
 
 def end_algebra(ctx):
-    """Graded endomorphisms of the syzygy module, solved in closed form.
+    """Degree-0 endomorphisms of the syzygy module M, as hom_space(M, M, 0).
 
-    A degree-0 endomorphism is an m x m matrix F over the C_d coordinates
-    with (F (x) 1) C_(d+1) contained in C_(d+1).  The containment conditions
-    are linear, so the solution space is a kernel; composing basis solutions
+    A degree-0 endomorphism is an m x m matrix F over the C_d coordinates,
+    F[j][i] the coefficient of generator j in the image of generator i,
+    flattened row by row (map_matrix); these are the F with
+    (F (x) 1) C_(d+1) contained in C_(d+1).  Composing basis solutions
     gives the structure constants.
     """
     field = ctx.quotient.field
-    g = ctx.quotient.gdim
-    trans = koszul_transition(ctx.quotient.relation_space, ctx.d, g,
-                              ctx.koszul_cache)
-    m = koszul_component(ctx, ctx.d).dim
-    ambient = m * g
-    target = Subspace._span_sparse(field, ambient, trans.sparse)
-    eq_rows = []
-    for x_row in trans.sparse:
-        # the unknown F[j][i] moves the entries of block i into block j
-        blocks = [{} for _ in range(m)]
-        for q, c in x_row.items():
-            i, l = divmod(q, g)
-            blocks[i][l] = c
-        conditions = [{} for _ in range(ambient)]
-        for j in range(m):
-            for i in range(m):
-                shifted = {j * g + l: c for l, c in blocks[i].items()}
-                target.reduce_sparse(shifted)
-                for pos, x in shifted.items():
-                    conditions[pos][j * m + i] = x
-        eq_rows.extend(conditions)
-    kernel = Matrix._from_sparse(field, eq_rows, m * m).kernel()
-    solution = Subspace.span(field, m * m, kernel.rows)
+    module = GradedModule(ctx.quotient, syzygy_presentation(ctx))
+    m = len(module.presentation.generator_degrees)
+    solution = Subspace._span_sparse(
+        field, m * m, [map_matrix(images, m, 0, 0)
+                       for images in hom_space(module, module, 0)])
     mats = tuple(Matrix(field, [row[j * m:(j + 1) * m] for j in range(m)],
                         ncols=m) for row in solution.basis)
     ident = [field.one if j == k else field.zero
              for j in range(m) for k in range(m)]
     labels = tuple(f"f{k + 1}" for k in range(len(mats)))
     algebra = FiniteDimAlgebra.of_matrices(field, labels, solution, ident)
-    return EndAlgebraResult(m, solution, mats, algebra)
+    return EndAlgebraResult(m, solution, mats, algebra, module)
 
 
 @dataclass(frozen=True)
@@ -169,76 +155,68 @@ def stable_dual_algebra(ctx, half=None):
     """
     dual = ctx.quotient_dual
     field = dual.field
-    g = dual.gdim
+    one = field.one
     d = ctx.d
     m = half if half is not None else (d + 1) // 2
     if 2 * m < d:
         raise ValueError("realization degree must satisfy 2*half >= d")
-    q2 = dual.graded_dim(2)
-    q3 = dual.graded_dim(3)
 
-    def unit_vec(dim, j):
-        return tuple(field.one if t == j else field.zero for t in range(dim))
+    def times(n, k, coords):
+        """Rows b_i * a over the basis of degree n, for a of degree k."""
+        return right_action(dual, n, [(w, c) for w, c in
+                                      zip(dual.basis_words(k), coords) if c])
 
-    rows = []
-    for l in range(g):
-        el = unit_vec(g, l)
-        cols = []
-        for bj in range(q2):
-            b = unit_vec(q2, bj)
-            left = dual.multiply(2, b, 1, el)
-            right = dual.multiply(1, el, 2, b)
-            cols.append(tuple(x - y for x, y in zip(left, right)))
-        for pos in range(q3):
-            rows.append([cols[bj][pos] for bj in range(q2)])
-    central = Matrix(field, rows, ncols=q2).kernel()
-    candidates = [tuple(r) for r in central.rows]
-    for i in range(len(central.rows)):
-        for j in range(i + 1, len(central.rows)):
+    # column j of the central system: b_j x_l - x_l b_j, keyed (l, position)
+    by_letter = [right_action(dual, 2, [((l,), one)])
+                 for l in range(dual.gdim)]
+    cols = []
+    for j, word in enumerate(dual.basis_words(2)):
+        col = {}
+        for l, left in enumerate(right_action(dual, 1, [(word, one)])):
+            diff = dict(by_letter[l][j])
+            add_multiple(diff, -one, left)
+            col.update(((l, pos), c) for pos, c in diff.items())
+        cols.append(col)
+    central = Matrix._from_sparse(field, column_system(field, cols),
+                                  len(cols)).rows
+    candidates = [tuple(r) for r in central]
+    for i in range(len(central)):
+        for j in range(i + 1, len(central)):
             candidates.append(tuple(x + y for x, y in
-                                    zip(central.rows[i], central.rows[j])))
+                                    zip(central[i], central[j])))
     check_hi = max(2 * m + 2, 4 * m - 2)
-    pi = None
-    for cand in candidates:
-        ok = True
+
+    def bijective(cand):
+        """Is x -> x * cand a bijection from degree n onto degree n + 2
+        for every n from d to check_hi?"""
         for n in range(d, check_hi + 1):
             dim_n = dual.graded_dim(n)
-            if dim_n != dual.graded_dim(n + 2) or dim_n == 0:
-                ok = False
-                break
-            cols = [dual.multiply(n, unit_vec(dim_n, i), 2, cand)
-                    for i in range(dim_n)]
-            step = Matrix(field, [[cols[i][pos] for i in range(dim_n)]
-                                  for pos in range(dim_n)], ncols=dim_n)
-            if step.rank() < dim_n:
-                ok = False
-                break
-        if ok:
-            pi = cand
-            break
+            if (dim_n != dual.graded_dim(n + 2) or dim_n == 0
+                    or Matrix._from_sparse(field, times(n, 2, cand),
+                                           dim_n).rank() < dim_n):
+                return False
+        return True
+
+    pi = next((cand for cand in candidates if bijective(cand)), None)
     if pi is None:
         raise NoStableCentral(
             "no central degree-2 element of the dual multiplies bijectively "
             "through the stable range")
     q = dual.graded_dim(2 * m)
     pim = pi
-    deg = 2
-    for _ in range(m - 1):
-        pim = dual.multiply(deg, pim, 2, pi)
-        deg += 2
-    cols = [dual.multiply(2 * m, unit_vec(q, i), 2 * m, pim)
-            for i in range(q)]
-    phi = Matrix(field, [[cols[i][pos] for i in range(q)]
-                         for pos in range(q)], ncols=q)
-    phi_inv = phi.inverse()
-    structure = []
-    for i in range(q):
-        row = []
-        for j in range(q):
-            prod = dual.multiply(2 * m, unit_vec(q, i), 2 * m,
-                                 unit_vec(q, j))
-            row.append(tuple(phi_inv.apply(list(prod))))
-        structure.append(row)
+    for k in range(1, m):
+        pim = dual.multiply(2 * k, pim, 2, pi)
+    # row i of phi is b_i * pi^m, so phi^-1 (b_i b_j) is the combination of
+    # the rows of the inverse with the coordinates of b_i b_j
+    inverse = Matrix._from_sparse(field, times(2 * m, 2 * m, pim),
+                                  q).inverse().sparse
+    structure = [[None] * q for _ in range(q)]
+    for j, word in enumerate(dual.basis_words(2 * m)):
+        for i, prod in enumerate(right_action(dual, 2 * m, [(word, one)])):
+            row = {}
+            for k, c in prod.items():
+                add_multiple(row, c, inverse[k])
+            structure[i][j] = row
     labels = tuple("".join(dual.generators[l] for l in word)
                    for word in dual.basis_words(2 * m))
     algebra = FiniteDimAlgebra(field, labels, structure, tuple(pim))

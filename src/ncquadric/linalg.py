@@ -319,6 +319,22 @@ class Matrix:
         return f"Matrix({self.nrows}x{self.ncols} over {self.field.describe()})"
 
 
+def column_system(field, cols, rhs=None):
+    """Kernel rows of the system whose columns are the sparse rows cols,
+    keyed by row label; given a sparse rhs, one solution as a dense list
+    (free variables zero, as Matrix.solve gives it) or None."""
+    rows = {}
+    for k, col in enumerate(cols):
+        for pos, x in col.items():
+            rows.setdefault(pos, {})[k] = x
+    for pos in rhs or ():
+        rows.setdefault(pos, {})
+    mat = Matrix._from_sparse(field, list(rows.values()), len(cols))
+    if rhs is None:
+        return mat.kernel().sparse
+    return mat.solve([rhs.get(pos, field.zero) for pos in rows])
+
+
 class Subspace:
     """A subspace of the coordinate space F^n with its canonical rref basis.
 

@@ -9,24 +9,24 @@ so each translate is one generator step from a translate a degree lower;
 only the latest shift of each relation is kept, and the translates go to
 the elimination as sparse rows.  M_n is a GradedPiece, the piece type of
 A_n, with sparse generator tables in the same format, and the action of
-the algebra runs through the table step and word walk that the algebra
-itself uses (quadratic.py).  The matrix of right multiplication by an
-element of A (GradedModule.right_action) is a sparse product of those
-tables.  On top of that sit the operations the hypersurface pipeline
-needs: idempotent cuts of a module, recognition of cyclic quotients A/xA,
-graded Hom spaces (the kernel of sparse right_action rows), and the
-degree-zero endomorphism algebra of a list of modules, built with
-FiniteDimAlgebra.of_matrices.
+the algebra runs through the table step, word walk and right action that
+the algebra itself uses (quadratic.py).  On top of that sit the operations
+the hypersurface pipeline needs: graded Hom spaces (the kernel of sparse
+right_action rows), which also give End(M) (hypersurface.end_algebra);
+the summand e.M of an idempotent endomorphism, presented in closed form
+from the relations of M; recognition of cyclic quotients A/xA; and the
+degree-zero endomorphism algebra of a list of modules, its maps flattened
+by map_matrix and built with FiniteDimAlgebra.of_matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import AdditivityViolated, NotIsolated
+from .errors import AdditivityViolated, AlgebraError, NotIsolated
 from .findim import FiniteDimAlgebra
-from .linalg import Matrix, Subspace, add_multiple, sparse_row
-from .quadratic import GradedPiece, dense_class, generator_step, word_walk
+from .linalg import Matrix, Subspace, add_multiple, column_system, sparse_row
+from .quadratic import GradedPiece, generator_step, right_action, word_walk
 
 
 @dataclass(frozen=True)
@@ -84,7 +84,9 @@ class GradedModule:
         g = alg.gdim
         degs = [e - d for d in self.presentation.generator_degrees]
         while s < shift:
-            rows = [tuple(_times_generator(alg, deg + s, blk, c % g)
+            # block times x_l, read off the algebra's table of its degree
+            rows = [tuple(generator_step(alg.tables(deg + s)[c % g], blk)
+                          if blk else ()
                           for blk, deg in zip(rows[c // g], degs))
                     for c in alg.component(s + 1).free_cols]
             s += 1
@@ -161,12 +163,6 @@ class GradedModule:
             lvl.gen_mult = tuple(tables)
         return lvl.gen_mult
 
-    def mult_by_generator(self, n, coords, l):
-        """Class of (element of M_n) * x_l in M_(n+1), from the level table."""
-        step = generator_step(self.tables(n)[l],
-                              [(i, c) for i, c in enumerate(coords) if c])
-        return dense_class(step, self.graded_dim(n + 1), self.field.zero)
-
     def mult_by_element(self, n, coords, k, a_coords):
         """Class of (element of M_n) * (element of A_k).
 
@@ -176,41 +172,6 @@ class GradedModule:
         return word_walk(self.tables, self.algebra.basis_words(k),
                          n, coords, a_coords, self.graded_dim(n + k),
                          self.field.zero)
-
-    def right_action(self, n, terms):
-        """Matrix of x -> x * a on M_n, for a = sum of c * w over the
-        (word, c) pairs of terms, all words of one length k and c nonzero.
-
-        Row i is the class in M_(n+k) of basis vector i times a, as a dict
-        {index: nonzero coefficient}.  Words are grouped by their first
-        letter l, and each group adds the product of the level table of
-        x_l with the matrix of the rest of its words one level up: a
-        degree-1 element is a combination of table rows, and each further
-        letter costs one more sparse table product.
-        """
-        dim = self.graded_dim(n)
-        if not terms[0][0]:
-            c = terms[0][1]
-            return [{i: c} for i in range(dim)]
-        groups = {}
-        for word, c in terms:
-            groups.setdefault(word[0], []).append((word[1:], c))
-        rows = [{} for _ in range(dim)]
-        if not dim:
-            return rows
-        tables = self.tables(n)
-        for l, rest in groups.items():
-            inner = self.right_action(n + 1, rest)
-            for row, image in zip(rows, tables[l]):
-                for k, t in image:
-                    add_multiple(row, t, inner[k])
-        return rows
-
-
-def _times_generator(algebra, n, sparse, l):
-    """Sparse class of (element of A_n) * x_l in A_(n+1), read off the
-    algebra's generator table of A_n."""
-    return generator_step(algebra.tables(n)[l], sparse) if sparse else ()
 
 
 def free_module(algebra):
@@ -225,41 +186,49 @@ def module_graded_dim(presentation, algebra, n):
 # -- idempotent summands -------------------------------------------------------
 
 
-def idempotent_summand(parent, image, depth=2):
-    """Present the submodule of the parent generated by a degree-0 subspace.
+def idempotent_summand(parent, idempotent):
+    """Present the summand e.M cut out by an idempotent endomorphism.
 
-    The parent must be generated in degree 0.  Relations are collected up to
-    the given depth; depth 2 suffices for the Koszul summands we meet, and
-    the classification layer re-runs with a larger depth before giving up.
+    The parent must be generated in degree 0, and the idempotent is a
+    square matrix E over its generators, column alpha the image of
+    generator alpha.  E (x) 1 is an idempotent of the free module that
+    keeps the relation module K, so e.M = E.F / E.K: it is generated by the
+    rref basis of im(E), and its relations span the E.r for the relations
+    r of the parent, degree by degree.  E.r lies in im(E) (x) A, so its
+    coordinate at a basis vector of im(E) is its block at that vector's
+    pivot.  Returns the image and the presentation; raises AlgebraError if
+    E is not idempotent or does not keep the relations.
     """
     if any(d != 0 for d in parent.presentation.generator_degrees):
         raise ValueError("idempotent cuts need a degree-0 generated module")
     field = parent.field
-    alg = parent.algebra
-    gens = [tuple(row) for row in image.basis]
-    r = len(gens)
-    relations = []
-    for e in range(1, depth + 1):
-        # full kernel of (new free module)_e -> parent_e
-        block = alg.graded_dim(e)
-        cols = []
-        for beta in range(r):
-            for j in range(block):
-                unit = tuple(field.one if t == j else field.zero
-                             for t in range(block))
-                cols.append(parent.mult_by_element(0, gens[beta], e, unit))
-        rows = [[cols[c][pos] for c in range(r * block)]
-                for pos in range(parent.graded_dim(e))]
-        kernel = Matrix(field, rows, ncols=r * block).kernel()
-        # a relation of degree e adds only itself to the degree-e span
-        span = GradedModule(alg, ModulePresentation(
-            (0,) * r, tuple(relations))).level(e).rel_space
-        for row in kernel.rows:
-            if not span.contains(list(row)):
-                relations.append((e, tuple(row)))
-                span = Subspace.span(field, r * block,
-                                     list(span.basis) + [list(row)])
-    return ModulePresentation((0,) * r, tuple(relations))
+    if idempotent * idempotent != idempotent:
+        raise AlgebraError("the matrix is not idempotent")
+    columns = idempotent.transpose().sparse
+    image = Subspace._span_sparse(field, idempotent.nrows, columns)
+    cuts = {}  # degree -> the E.r of that degree over im(E) (x) A_e
+    for e, vec in parent.presentation.relations:
+        size = parent.algebra.graded_dim(e)
+        moved = {}  # E.r: entry k of block alpha goes to block beta
+        for q, c in sparse_row(field, vec).items():
+            alpha, k = divmod(q, size)
+            add_multiple(moved, c, {beta * size + k: x
+                                    for beta, x in columns[alpha].items()})
+        cuts.setdefault(e, []).append(
+            {beta * size + k: moved[p * size + k]
+             for beta, p in enumerate(image.pivots) for k in range(size)
+             if p * size + k in moved})
+        parent.level(e).rel_space.reduce_sparse(moved)
+        if moved:
+            raise AlgebraError(
+                "the idempotent is not an endomorphism of the module")
+    # one basis of the E.r per degree: E sends many relations to the same
+    # line, and each relation kept costs a translate set per level
+    relations = tuple(
+        (e, row) for e, rows in cuts.items()
+        for row in Subspace._span_sparse(
+            field, image.dim * parent.algebra.graded_dim(e), rows).basis)
+    return image, ModulePresentation((0,) * image.dim, relations)
 
 
 @dataclass(frozen=True)
@@ -271,14 +240,15 @@ class CyclicMatch:
     reason: str = ""
 
 
-def identify_cyclic_quotient(presentation, algebra, bound):
-    """Try to recognize a presented module as A/xA for a degree-1 element x."""
-    summand = GradedModule(algebra, presentation)
+def identify_cyclic_quotient(summand, bound):
+    """Try to recognize a module (a GradedModule, its levels reused) as
+    A/xA for a degree-1 element x."""
+    algebra = summand.algebra
     dims = tuple(summand.graded_dim(n) for n in range(bound + 1))
-    if presentation.generator_degrees != (0,):
+    if summand.presentation.generator_degrees != (0,):
         return CyclicMatch(None, dims, (), False, "not generated by one "
                            "degree-0 element")
-    deg1 = [vec for e, vec in presentation.relations if e == 1]
+    deg1 = [vec for e, vec in summand.presentation.relations if e == 1]
     ann = Subspace.span(algebra.field, algebra.gdim,
                         [list(v) for v in deg1])
     if ann.dim != 1:
@@ -312,31 +282,25 @@ class McmClassification:
 def classify_mcm(parent, idempotent_matrices, algebra, bound):
     """Cut the parent along idempotents and identify each piece.
 
-    Idempotents act on degree-0 coordinates; each image subspace generates a
-    summand whose presentation is deepened until Hilbert additivity holds.
+    Idempotents act on degree-0 coordinates; each cuts out a summand in
+    closed form (idempotent_summand), and the summand Hilbert functions
+    must add up to the parent's through the bound.
     """
-    field = algebra.field
     parent_h = tuple(parent.graded_dim(n) for n in range(bound + 1))
-    for depth in (2, 3):
-        infos = []
-        total = [0] * (bound + 1)
-        for idx, mat in enumerate(idempotent_matrices):
-            image = Subspace.span(field, mat.nrows,
-                                  [[mat.entry(r, c) for r in range(mat.nrows)]
-                                   for c in range(mat.ncols)])
-            pres = idempotent_summand(parent, image, depth=depth)
-            summand = GradedModule(algebra, pres)
-            h = tuple(summand.graded_dim(n) for n in range(bound + 1))
-            for n in range(bound + 1):
-                total[n] += h[n]
-            cyc = identify_cyclic_quotient(pres, algebra, bound)
-            infos.append(SummandInfo(idx, tuple(tuple(r) for r in image.basis),
-                                     pres, h, cyc))
-        if tuple(total) == parent_h:
-            return McmClassification(tuple(infos), parent_h, True)
-    raise AdditivityViolated(
-        "summand Hilbert functions do not add up to the module; the "
-        "truncated presentations miss relations beyond the search depth")
+    infos = []
+    total = [0] * (bound + 1)
+    for idx, mat in enumerate(idempotent_matrices):
+        image, pres = idempotent_summand(parent, mat)
+        summand = GradedModule(algebra, pres)
+        h = tuple(summand.graded_dim(n) for n in range(bound + 1))
+        total = [t + x for t, x in zip(total, h)]
+        infos.append(SummandInfo(idx, image.basis, pres, h,
+                                 identify_cyclic_quotient(summand, bound)))
+    if tuple(total) != parent_h:
+        raise AdditivityViolated(
+            "summand Hilbert functions do not add up to the module; the "
+            "idempotents do not split it into these summands")
+    return McmClassification(tuple(infos), parent_h, True)
 
 
 # -- syzygy shift evidence -----------------------------------------------------
@@ -380,22 +344,19 @@ def syzygy_shift_evidence(parent, classification, algebra, bound,
             anns.append(None)
     permutation = []
     perm_ok = True
-    g = algebra.gdim
+    field = algebra.field
     for i, u in enumerate(anns):
         if u is None:
             permutation.append(None)
             perm_ok = False
             notes.append(f"summand {i + 1} is not recognized as cyclic")
             continue
-        cols = [algebra.multiply(1, u, 1,
-                                 tuple(algebra.field.one if t == l
-                                       else algebra.field.zero
-                                       for t in range(g)))
-                for l in range(g)]
-        rows_m = [[cols[l][pos] for l in range(g)]
-                  for pos in range(algebra.graded_dim(2))]
-        kern = Matrix(algebra.field, rows_m, ncols=g).kernel()
-        right_ann = Subspace.span(algebra.field, g, kern.rows)
+        # column l of the system is u * x_l, read off the tables of A_1
+        u_sparse = tuple(sparse_row(field, u).items())
+        cols = [dict(generator_step(table, u_sparse))
+                for table in algebra.tables(1)]
+        right_ann = Subspace._span_sparse(field, algebra.gdim,
+                                          column_system(field, cols))
         if right_ann.dim != 1:
             permutation.append(None)
             perm_ok = False
@@ -431,8 +392,8 @@ def hom_space(P, Q, n):
     A map sends generator alpha of P (degree d) to an element of Q_(d+n);
     a relation sum_alpha g_alpha a_alpha of degree e asks that the images
     times the a_alpha sum to zero in Q_(e+n).  Each a_alpha acts through
-    Q.right_action, so the conditions are sparse rows, and the maps are
-    the kernel of all of them.
+    quadratic.right_action, so the conditions are sparse rows, and the maps
+    are the kernel of all of them.
     """
     field = Q.field
     alg = Q.algebra
@@ -455,8 +416,8 @@ def hom_space(P, Q, n):
             if not coeffs or not ob:
                 continue
             words = alg.basis_words(e - d)
-            action = Q.right_action(d + n, [(words[j], c)
-                                            for j, c in coeffs.items()])
+            action = right_action(Q, d + n, [(words[j], c)
+                                             for j, c in coeffs.items()])
             for j, image in enumerate(action):
                 for p, x in image.items():
                     conditions[p][ostart + j] = x
@@ -471,6 +432,19 @@ def hom_space(P, Q, n):
 
 def hom_graded(P, Q, n):
     return len(hom_space(P, Q, n))
+
+
+def map_matrix(images, size, source, target):
+    """A degree-0 map as a flattened size x size matrix, a sparse row.
+
+    The map sends generator alpha of its source to images[alpha], over
+    the generators of its target; the source generators are the columns
+    from ``source`` on, the target generators the rows from ``target`` on,
+    so entry (row, column) sits at row * size + column.
+    """
+    return {(target + beta) * size + source + alpha: c
+            for alpha, image in enumerate(images)
+            for beta, c in enumerate(image) if c}
 
 
 @dataclass(frozen=True)
@@ -532,21 +506,15 @@ def preresolution_table(summand_presentations, algebra, bound):
              for _ in module.presentation.generator_degrees]
     size = len(owner)
     starts = [owner.index(i) for i in range(count)]
-    blocks = {}
-    for (i, j), space in maps0.items():
-        blocks[(i, j)] = []
-        for images in space:
-            vec = [field.zero] * (size * size)
-            for alpha, img in enumerate(images):
-                for beta, c in enumerate(img):
-                    vec[(starts[j] + beta) * size + starts[i] + alpha] = c
-            blocks[(i, j)].append(vec)
+    blocks = {(i, j): [map_matrix(images, size, starts[i], starts[j])
+                       for images in space]
+              for (i, j), space in maps0.items()}
 
     def algebra_of(pairs, members):
         """The algebra of the maps of the given pairs, with the identity
         of the member modules as its unit."""
-        span = Subspace.span(field, size * size,
-                             [vec for pair in pairs for vec in blocks[pair]])
+        span = Subspace._span_sparse(field, size * size, [
+            vec for pair in pairs for vec in blocks[pair]])
         unit = [field.zero] * (size * size)
         for p in range(size):
             if owner[p] in members:

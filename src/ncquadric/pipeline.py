@@ -18,10 +18,8 @@ from dataclasses import dataclass, field as dataclass_field
 from .errors import (AlgebraError, ContainmentViolated, NonSplit,
                      NoStableCentral)
 from .hypersurface import (build_context, dimension_identities, end_algebra,
-                           koszul_component, stable_dual_algebra,
-                           syzygy_presentation)
-from .modules import (GradedModule, classify_mcm, preresolution_table,
-                      syzygy_shift_evidence)
+                           koszul_component, stable_dual_algebra)
+from .modules import classify_mcm, preresolution_table, syzygy_shift_evidence
 from .quadratic import (QuadraticPresentation, is_regular_deg2,
                         koszul_numeric_check, linear_string,
                         quantum_polynomial_certificate, tensor2_string)
@@ -254,8 +252,8 @@ def _run_stages(report, parsed, degree, seed, skip_qp_check, stop_after):
         return
 
     # end-algebra ------------------------------------------------------------
-    module = GradedModule(ctx.quotient, syzygy_presentation(ctx))
     end = end_algebra(ctx)
+    module = end.module
     idents = dimension_identities(ctx, end,
                                   module_zero_dim=module.graded_dim(0))
     idents_ok = all(c.ok for c in idents)

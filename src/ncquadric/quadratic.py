@@ -8,13 +8,17 @@ rows and handed to the elimination through the trusted constructor
 Subspace._span_sparse (linalg.py).  A_n and the levels M_n of a module
 (modules.py) are the same GradedPiece type, and each carries sparse
 generator tables: basis vector times x_l as (index, coefficient) pairs one
-degree up.  One table step (generator_step) and one word walk (word_walk)
-act through those tables for the algebra and its modules alike, on the
-nonzero coordinates only; the public products take and return dense
-coordinate tuples.  The classes of all g^n words (word_classes, sparse)
-project tensors onto A_n and give the Koszul spaces of the dual
-(tensors.py).  Everything else rests on them: Hilbert data, centrality
-tests, regularity certificates and the quadratic dual.
+degree up.  One table step (generator_step), one word walk (word_walk)
+and one right action (right_action, the matrix of right multiplication by
+an element as a sparse product of tables) act through those tables for the
+algebra and its modules alike, on the nonzero coordinates only; the public
+products take and return dense coordinate tuples.  The right action gives
+every product matrix the pipeline needs: Hom spaces and End(M)
+(modules.py) and the dual algebra (hypersurface.py).  The classes of all
+g^n words (word_classes, sparse) project tensors onto A_n and give the
+Koszul spaces of the dual (tensors.py).  Everything else rests on them:
+Hilbert data, centrality tests, regularity certificates and the quadratic
+dual.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field as dataclass_field
 from math import comb
 
 from .errors import RelationDependence
-from .linalg import Matrix, Subspace
+from .linalg import Matrix, Subspace, add_multiple
 
 
 class GradedPiece:
@@ -94,6 +98,37 @@ def word_walk(tables, words, n, coords, a_coords, dim, zero):
             y = acc.get(t)
             acc[t] = aj * c if y is None else y + aj * c
     return dense_class(acc.items(), dim, zero)
+
+
+def right_action(owner, n, terms):
+    """Matrix of x -> x * a on the degree-n piece of owner (the algebra or
+    one of its modules), for a = sum of c * w over the (word, c) pairs of
+    terms, all words of one length k and c nonzero.
+
+    Row i is the class one degree k up of basis vector i times a, as a dict
+    {index: nonzero coefficient}.  Words are grouped by their first letter
+    l, and each group adds the product of the table of x_l with the matrix
+    of the rest of its words one degree up: a degree-1 element is a
+    combination of table rows, and each further letter costs one more
+    sparse table product.
+    """
+    dim = owner.graded_dim(n)
+    if not terms[0][0]:
+        c = terms[0][1]
+        return [{i: c} for i in range(dim)]
+    groups = {}
+    for word, c in terms:
+        groups.setdefault(word[0], []).append((word[1:], c))
+    rows = [{} for _ in range(dim)]
+    if not dim:
+        return rows
+    tables = owner.tables(n)
+    for l, rest in groups.items():
+        inner = right_action(owner, n + 1, rest)
+        for row, image in zip(rows, tables[l]):
+            for k, t in image:
+                add_multiple(row, t, inner[k])
+    return rows
 
 
 def dense_class(pairs, dim, zero):
@@ -197,12 +232,6 @@ class QuadraticPresentation:
         return self.component(n).words
 
     # -- multiplication ----------------------------------------------------
-
-    def mult_by_generator(self, n, coords, l):
-        """Class of (element of A_n) * x_l in A_(n+1)."""
-        step = generator_step(self.tables(n)[l],
-                              [(i, c) for i, c in enumerate(coords) if c])
-        return dense_class(step, self.graded_dim(n + 1), self.field.zero)
 
     def multiply(self, m, a_coords, n, b_coords):
         """Product A_m x A_n -> A_(m+n) on class coordinates."""

@@ -6,8 +6,9 @@ from itertools import product
 from math import lcm
 
 from ncquadric import (AlgebraError, AmbientMismatch, FiniteDimAlgebra,
-                       Matrix, QuadraticPresentation, Subspace,
-                       build_context, pipeline)
+                       GradedModule, Matrix, ModulePresentation,
+                       QuadraticPresentation, Subspace, build_context,
+                       koszul_component, koszul_transition, pipeline)
 from ncquadric.presentation import parse_file
 
 
@@ -60,6 +61,83 @@ def load_context(path, bound):
     ambient = QuadraticPresentation(parsed.field, parsed.generators,
                                     [row for _, row in parsed.relation_rows])
     return build_context(ambient, parsed.central_row, bound=bound)
+
+
+def idempotent_matrices(end, seed=0):
+    """The primitive idempotents of End(M) as m x m matrices."""
+    mats = []
+    for coords in end.algebra.primitive_idempotents(seed=seed).idempotents:
+        mat = None
+        for c, bm in zip(coords, end.basis_matrices):
+            term = bm.scale(c)
+            mat = term if mat is None else mat + term
+        mats.append(mat)
+    return mats
+
+
+# -- reference constructions of End(M) and of its summands --------------------
+
+
+def reference_end_solution(ctx):
+    """Degree-0 endomorphisms of the syzygy module by the containment
+    solver: the m x m matrices F, flattened as F[j][i] at j*m + i, with
+    (F (x) 1) C_(d+1) contained in C_(d+1)."""
+    field = ctx.quotient.field
+    g = ctx.quotient.gdim
+    trans = koszul_transition(ctx.quotient.relation_space, ctx.d, g,
+                              ctx.koszul_cache)
+    m = koszul_component(ctx, ctx.d).dim
+    ambient = m * g
+    target = Subspace.span(field, ambient, trans.rows)
+    eq_rows = []
+    for x_row in trans.rows:
+        # the unknown F[j][i] moves the entries of block i into block j
+        conditions = [[field.zero] * (m * m) for _ in range(ambient)]
+        for j in range(m):
+            for i in range(m):
+                shifted = [field.zero] * ambient
+                for l in range(g):
+                    shifted[j * g + l] = x_row[i * g + l]
+                for pos, x in enumerate(target.reduce(shifted)):
+                    conditions[pos][j * m + i] = x
+        eq_rows.extend(conditions)
+    kernel = Matrix(field, eq_rows, ncols=m * m).kernel()
+    return Subspace.span(field, m * m, kernel.rows)
+
+
+def reference_idempotent_summand(parent, image, depth=2):
+    """Presentation of the submodule of a degree-0 generated parent that
+    the basis of a degree-0 subspace generates, found by kernel search.
+
+    In each degree e up to depth, the full kernel of (free module on the
+    image basis)_e -> parent_e is built one unit vector of A_e at a time; a
+    kernel row joins the relations unless the translates of the earlier
+    relations already span it.
+    """
+    field = parent.field
+    alg = parent.algebra
+    gens = [tuple(row) for row in image.basis]
+    r = len(gens)
+    relations = []
+    for e in range(1, depth + 1):
+        block = alg.graded_dim(e)
+        cols = []
+        for beta in range(r):
+            for j in range(block):
+                unit = tuple(field.one if t == j else field.zero
+                             for t in range(block))
+                cols.append(parent.mult_by_element(0, gens[beta], e, unit))
+        rows = [[cols[c][pos] for c in range(r * block)]
+                for pos in range(parent.graded_dim(e))]
+        kernel = Matrix(field, rows, ncols=r * block).kernel()
+        span = GradedModule(alg, ModulePresentation(
+            (0,) * r, tuple(relations))).level(e).rel_space
+        for row in kernel.rows:
+            if not span.contains(list(row)):
+                relations.append((e, tuple(row)))
+                span = Subspace.span(field, r * block,
+                                     list(span.basis) + [list(row)])
+    return ModulePresentation((0,) * r, tuple(relations))
 
 
 # the call each late stage makes, as (owner, attribute) for monkeypatch

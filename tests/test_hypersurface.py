@@ -3,7 +3,8 @@ from fractions import Fraction
 import pytest
 
 import oracle as O
-from helpers import gauss, rows_pairs
+from conftest import ROOT
+from helpers import gauss, load_context, reference_end_solution, rows_pairs
 
 from ncquadric import (Field, NotCentral, NotRegularCertificate,
                        QuadraticPresentation, RelationDependence, Subspace,
@@ -125,6 +126,17 @@ def test_end_algebra_matches_oracle(golden_ctx, golden_end):
     alg = golden_end.algebra
     assert alg.dim == 4
     assert alg.multiply(alg.unit, alg.unit) == tuple(alg.unit)
+
+
+@pytest.mark.parametrize("path", sorted(
+    str(p.relative_to(ROOT)) for pattern in ("inputs/*.pres",
+                                             "bench/corpus/*.pres")
+    for p in ROOT.glob(pattern)))
+def test_end_algebra_matches_the_containment_solver(path):
+    ctx = load_context(ROOT / path, bound=4)
+    end = end_algebra(ctx)
+    assert end.solution == reference_end_solution(ctx)
+    assert end.module.presentation == syzygy_presentation(ctx)
 
 
 def test_end_algebra_small_cases(node_ctx, cusp_ctx):

@@ -3,9 +3,13 @@ from fractions import Fraction
 import pytest
 
 import oracle as O
-from helpers import gauss, normalize_line, rows_pairs, vec_pairs
+from conftest import ROOT
+from helpers import (flatten_matrix, gauss, idempotent_matrices,
+                     load_context, normalize_line,
+                     reference_idempotent_summand, rows_pairs, vec_pairs)
 
-from ncquadric import (GradedModule, ModulePresentation, NotIsolated,
+from ncquadric import (AdditivityViolated, AlgebraError, GradedModule,
+                       Matrix, ModulePresentation, NotIsolated,
                        SmallRng, Subspace, classify_mcm, end_algebra,
                        free_module,
                        hom_graded, hom_space, identify_cyclic_quotient,
@@ -75,11 +79,58 @@ def test_idempotent_summand(golden_ctx, golden_module,
     field = golden_ctx.ambient.field
     mat = golden_idem_matrices[0]
     image = [[mat.entry(r, c) for r in range(4)] for c in range(4)]
-    img = Subspace.span(field, 4, image)
+    img, pres = idempotent_summand(golden_module, mat)
+    assert img == Subspace.span(field, 4, image)
     assert img.dim == 1
-    pres = idempotent_summand(golden_module, img)
     gm = GradedModule(golden_ctx.quotient, pres)
     assert [gm.graded_dim(n) for n in range(5)] == [1, 2, 3, 4, 5]
+
+
+@pytest.mark.parametrize("path, count, rank", [
+    ("inputs/quadric3.pres", 4, 1),
+    ("bench/corpus/skew4.pres", 8, 1),
+    ("bench/corpus/comm4.pres", 4, 2),
+])
+def test_closed_form_summands_match_the_kernel_search(path, count, rank):
+    ctx = load_context(ROOT / path, bound=6)
+    end = end_algebra(ctx)
+    mats = idempotent_matrices(end)
+    assert len(mats) == count
+    for mat in mats:
+        image, pres = idempotent_summand(end.module, mat)
+        assert image.dim == rank
+        got = GradedModule(ctx.quotient, pres)
+        want = GradedModule(ctx.quotient,
+                            reference_idempotent_summand(end.module, image))
+        for n in range(7):
+            assert got.level(n).rel_space == want.level(n).rel_space, n
+
+
+def test_idempotent_summand_rejects_a_non_idempotent(golden_module):
+    field = golden_module.field
+    twice = Matrix.identity(field, 4).scale(2)
+    with pytest.raises(AlgebraError, match="not idempotent"):
+        idempotent_summand(golden_module, twice)
+
+
+def test_idempotent_summand_rejects_a_projection_that_is_no_endomorphism(
+        golden_end, golden_module):
+    # the projection onto the first generator is idempotent, but it does
+    # not keep the relations of the module
+    field = golden_module.field
+    proj = Matrix(field, [[1 if (r, c) == (0, 0) else 0 for c in range(4)]
+                          for r in range(4)])
+    assert proj * proj == proj
+    assert not golden_end.solution.contains(flatten_matrix(proj))
+    with pytest.raises(AlgebraError, match="not an endomorphism"):
+        idempotent_summand(golden_module, proj)
+
+
+def test_classify_mcm_rejects_an_incomplete_family(golden_ctx, golden_module,
+                                                   golden_idem_matrices):
+    with pytest.raises(AdditivityViolated):
+        classify_mcm(golden_module, golden_idem_matrices[:-1],
+                     golden_ctx.quotient, 6)
 
 
 def test_classification(golden_classification):
@@ -101,7 +152,8 @@ def test_classification_annihilators(golden_classification, golden_ctx):
 
 def test_identify_cyclic_negative(golden_ctx):
     two_gens = ModulePresentation((0, 0), ())
-    match = identify_cyclic_quotient(two_gens, golden_ctx.quotient, 4)
+    match = identify_cyclic_quotient(
+        GradedModule(golden_ctx.quotient, two_gens), 4)
     assert not match.matched
     assert "degree-0" in match.reason
 
@@ -271,14 +323,11 @@ def literal_product(module, n, coords, k, a_coords):
 
 @pytest.fixture(scope="module")
 def engine_modules(golden_ctx, golden_module, golden_idem_matrices):
-    """Presentations of the golden parent, a depth-3 summand, and a module
+    """Presentations of the golden parent, one of its summands, and a module
     with generators in degrees 0 and 1 (one relation has a zero block)."""
     alg = golden_ctx.quotient
     field = alg.field
-    mat = golden_idem_matrices[0]
-    image = Subspace.span(field, 4, [[mat.entry(r, c) for r in range(4)]
-                                     for c in range(4)])
-    summand = idempotent_summand(golden_module, image, depth=3)
+    _, summand = idempotent_summand(golden_module, golden_idem_matrices[0])
 
     def row(*ints):
         return tuple(gauss(field, c) for c in ints)
@@ -324,11 +373,6 @@ def test_action_tables_match_literal_products(golden_ctx, engine_modules,
 
     for n in range(5):
         coords = random_vec(module.graded_dim(n))
-        for l in range(alg.gdim):
-            unit = tuple(field.one if t == l else field.zero
-                         for t in range(alg.gdim))
-            assert module.mult_by_generator(n, coords, l) == \
-                literal_product(module, n, coords, 1, unit)
         for k in range(3):
             a = random_vec(alg.graded_dim(k))
             assert module.mult_by_element(n, coords, k, a) == \
