@@ -217,21 +217,6 @@ class Matrix:
             out.append(row)
         return Matrix._from_sparse(self.field, out, other.ncols)
 
-    def apply(self, vec):
-        """Matrix times a column vector (given and returned as a list)."""
-        if len(vec) != self.ncols:
-            raise ValueError("vector length mismatch")
-        z = self.field.zero
-        out = []
-        for row in self.sparse:
-            acc = z
-            for j, a in row.items():
-                x = vec[j]
-                if x:
-                    acc = acc + a * x
-            out.append(acc)
-        return out
-
     def __eq__(self, other):
         return (isinstance(other, Matrix) and self.field == other.field
                 and self.ncols == other.ncols and self.rows == other.rows)

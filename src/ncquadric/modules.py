@@ -127,18 +127,6 @@ class GradedModule:
         """Dimension of the submodule the relations generate, in degree n."""
         return self.level(n).rel_space.dim
 
-    def class_coords(self, n, free_vec):
-        lvl = self.level(n)
-        resid = lvl.rel_space.reduce(list(free_vec))
-        return tuple(resid[c] for c in lvl.free_cols)
-
-    def representative(self, n, coords):
-        lvl = self.level(n)
-        out = [self.field.zero] * lvl.total
-        for c, pos in zip(coords, lvl.free_cols):
-            out[pos] = c
-        return out
-
     def tables(self, n):
         """Generator tables of M_n: basis vector times x_l, classed in
         M_(n+1).  A basis vector sits in one generator block, so its
@@ -242,7 +230,12 @@ class CyclicMatch:
 
 def identify_cyclic_quotient(summand, bound):
     """Try to recognize a module (a GradedModule, its levels reused) as
-    A/xA for a degree-1 element x."""
+    A/xA for a degree-1 element x.
+
+    When every relation has degree 1 they span the line of x, so the
+    module is A/xA as presented; A/xA is built and its dimensions compared
+    only when some relation has another degree.
+    """
     algebra = summand.algebra
     dims = tuple(summand.graded_dim(n) for n in range(bound + 1))
     if summand.presentation.generator_degrees != (0,):
@@ -255,6 +248,8 @@ def identify_cyclic_quotient(summand, bound):
         return CyclicMatch(None, dims, (), False,
                            f"degree-1 annihilator has dimension {ann.dim}")
     x = tuple(ann.basis[0])
+    if len(deg1) == len(summand.presentation.relations):
+        return CyclicMatch(x, dims, dims, True)
     quotient = GradedModule(algebra, ModulePresentation((0,), ((1, x),)))
     qdims = tuple(quotient.graded_dim(n) for n in range(bound + 1))
     if dims != qdims:

@@ -107,10 +107,11 @@ def right_action(owner, n, terms):
 
     Row i is the class one degree k up of basis vector i times a, as a dict
     {index: nonzero coefficient}.  Words are grouped by their first letter
-    l, and each group adds the product of the table of x_l with the matrix
-    of the rest of its words one degree up: a degree-1 element is a
-    combination of table rows, and each further letter costs one more
-    sparse table product.
+    l.  For the last letter, c * x_l adds c times row i of the table of x_l
+    straight into row i, so a degree-1 element is one combination of table
+    rows; a longer group adds the product of the table of x_l with the
+    matrix of the rest of its words one degree up, one more sparse table
+    product per letter.
     """
     dim = owner.graded_dim(n)
     if not terms[0][0]:
@@ -124,10 +125,26 @@ def right_action(owner, n, terms):
         return rows
     tables = owner.tables(n)
     for l, rest in groups.items():
-        inner = right_action(owner, n + 1, rest)
-        for row, image in zip(rows, tables[l]):
-            for k, t in image:
-                add_multiple(row, t, inner[k])
+        if not rest[0][0]:
+            # row += c * image: add_multiple written out, without a call
+            # and a dict per row
+            c = rest[0][1]
+            for row, image in zip(rows, tables[l]):
+                for k, t in image:
+                    y = row.get(k)
+                    if y is None:
+                        row[k] = c * t
+                    else:
+                        y = y + c * t
+                        if y:
+                            row[k] = y
+                        else:
+                            del row[k]
+        else:
+            inner = right_action(owner, n + 1, rest)
+            for row, image in zip(rows, tables[l]):
+                for k, t in image:
+                    add_multiple(row, t, inner[k])
     return rows
 
 

@@ -46,6 +46,36 @@ def flatten_matrix(mat):
             for k in range(mat.ncols)]
 
 
+def matrix_apply(mat, vec):
+    """Matrix times a column vector (given and returned as a list)."""
+    if len(vec) != mat.ncols:
+        raise ValueError("vector length mismatch")
+    out = []
+    for row in mat.sparse:
+        acc = mat.field.zero
+        for j, a in row.items():
+            if vec[j]:
+                acc = acc + a * vec[j]
+        out.append(acc)
+    return out
+
+
+def class_coords(module, n, free_vec):
+    """Class in M_n of a vector over the free module's degree-n blocks."""
+    lvl = module.level(n)
+    resid = lvl.rel_space.reduce(list(free_vec))
+    return tuple(resid[c] for c in lvl.free_cols)
+
+
+def representative(module, n, coords):
+    """Free-module vector of degree n whose class has the given coordinates."""
+    lvl = module.level(n)
+    out = [module.field.zero] * lvl.total
+    for c, pos in zip(coords, lvl.free_cols):
+        out[pos] = c
+    return out
+
+
 def line_subspace(field, vec):
     return Subspace.span(field, len(vec), [vec])
 

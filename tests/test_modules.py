@@ -4,9 +4,10 @@ import pytest
 
 import oracle as O
 from conftest import ROOT
-from helpers import (flatten_matrix, gauss, idempotent_matrices,
+from helpers import (class_coords, flatten_matrix, gauss, idempotent_matrices,
                      load_context, normalize_line,
-                     reference_idempotent_summand, rows_pairs, vec_pairs)
+                     reference_idempotent_summand, representative,
+                     rows_pairs, vec_pairs)
 
 from ncquadric import (AdditivityViolated, AlgebraError, GradedModule,
                        Matrix, ModulePresentation, NotIsolated,
@@ -158,6 +159,75 @@ def test_identify_cyclic_negative(golden_ctx):
     assert "degree-0" in match.reason
 
 
+def cyclic_quotient(alg, *relations):
+    """The cyclic module A/(relations), each a (degree, class row) pair."""
+    return GradedModule(alg, ModulePresentation((0,), relations))
+
+
+def word_class(alg, *letters):
+    """Class in A of the word on the given letter indices."""
+    g = alg.gdim
+    vec = [alg.field.zero] * g ** len(letters)
+    q = 0
+    for l in letters:
+        q = q * g + l
+    vec[q] = alg.field.one
+    return alg.project(len(letters), vec)
+
+
+def test_identify_cyclic_rejects_a_two_dimensional_annihilator(golden_ctx):
+    alg = golden_ctx.quotient
+    x, y = word_class(alg, 0), word_class(alg, 1)
+    match = identify_cyclic_quotient(cyclic_quotient(alg, (1, x), (1, y)), 5)
+    assert not match.matched
+    assert match.element is None
+    assert match.reason == "degree-1 annihilator has dimension 2"
+
+
+def test_identify_cyclic_compares_against_a_built_quotient(golden_ctx):
+    # a degree-2 relation sends the check through an explicit A/xA: y*z
+    # lies outside xA and cuts the module down, x*y lies inside and not
+    alg = golden_ctx.quotient
+    x = word_class(alg, 0)
+    yz, xy = word_class(alg, 1, 2), word_class(alg, 0, 1)
+    ax = cyclic_quotient(alg, (1, x))
+    ax_dims = tuple(ax.hilbert(5))
+    residues = []
+    for cls in (yz, xy):
+        vec = {k: c for k, c in enumerate(cls) if c}
+        ax.level(2).rel_space.reduce_sparse(vec)
+        residues.append(vec)
+    assert residues[0] and not residues[1]
+
+    smaller = cyclic_quotient(alg, (1, x), (2, yz))
+    match = identify_cyclic_quotient(smaller, 5)
+    assert not match.matched
+    assert match.element == x
+    assert match.reason == "graded dimensions differ from A/xA"
+    assert match.quotient_dims == ax_dims
+    assert match.summand_dims == tuple(smaller.hilbert(5)) != ax_dims
+
+    same = identify_cyclic_quotient(cyclic_quotient(alg, (1, x), (2, xy)), 5)
+    assert same.matched
+    assert same.summand_dims == same.quotient_dims == ax_dims
+
+
+@pytest.mark.parametrize("path", ["inputs/quadric3.pres",
+                                  "bench/corpus/skew3.pres",
+                                  "bench/corpus/skew4.pres"])
+def test_cyclic_summands_have_the_dimensions_of_a_built_quotient(path):
+    bound = 6
+    ctx = load_context(ROOT / path, bound=bound)
+    end = end_algebra(ctx)
+    cls = classify_mcm(end.module, idempotent_matrices(end), ctx.quotient,
+                       bound)
+    for info in cls.summands:
+        assert info.cyclic.matched
+        built = cyclic_quotient(ctx.quotient, (1, info.cyclic.element))
+        assert info.cyclic.quotient_dims == tuple(built.hilbert(bound))
+        assert info.cyclic.quotient_dims == info.hilbert
+
+
 def test_syzygy_shift(golden_module, golden_classification, golden_ctx):
     ev = syzygy_shift_evidence(golden_module, golden_classification,
                                golden_ctx.quotient, 6)
@@ -307,7 +377,7 @@ def literal_product(module, n, coords, k, a_coords):
     """Class of representative(n, coords) times a, blockwise in the free
     module, reduced with class_coords."""
     alg = module.algebra
-    rep = module.representative(n, coords)
+    rep = representative(module, n, coords)
     lvl, nxt = module.level(n), module.level(n + k)
     out = [module.field.zero] * nxt.total
     for alpha, d in enumerate(module.presentation.generator_degrees):
@@ -318,7 +388,7 @@ def literal_product(module, n, coords, k, a_coords):
             nstart = nxt.offsets[alpha][0]
             for t, c in enumerate(prod):
                 out[nstart + t] = out[nstart + t] + c
-    return module.class_coords(n + k, out)
+    return class_coords(module, n + k, out)
 
 
 @pytest.fixture(scope="module")
