@@ -8,8 +8,9 @@ appear only at the boundary: constructor input, ``unit``, ``basis_vector``,
 The radical is the kernel of the trace form Tr(L_a L_b) = tau(ab), read off
 the table through the trace functional tau(b_m) = sum_k c^k_{mk}.  Primitive
 idempotents: split the center with seeded generic elements, keeping each
-block eAe, then hunt rank-one idempotents inside each matrix block; missing
-eigenvalues raise NonSplit with the partial decomposition.
+block eAe (eA, as e is central), each piece a combination of the powers of
+one central element; then hunt rank-one idempotents inside each matrix
+block.  Missing eigenvalues raise NonSplit with the partial decomposition.
 """
 
 from __future__ import annotations
@@ -148,15 +149,6 @@ class FiniteDimAlgebra:
         return self._tuple(self._mul(self._row(a, "element vector"),
                                      self._row(b, "element vector")))
 
-    def _eval_poly(self, poly, a, unit):
-        """poly(a), with poly's constant term times the given unit."""
-        acc = {}
-        for c in reversed(poly.coeffs):
-            acc = self._mul(acc, a)
-            if c:
-                add_multiple(acc, c, unit)
-        return acc
-
     def _random_element(self, space, rng):
         """A seeded combination of the basis rows of a subspace."""
         coeffs = [rng.small_coeff() for _ in space.sparse]
@@ -268,8 +260,11 @@ class FiniteDimAlgebra:
         work = [self._unit]
         done = []
         while work:
+            # e is central (the unit, then polynomials in a central x), so
+            # eAe = eA, one product per basis element
             e = work.pop(0)
-            block = self._block_subspace(e)
+            block = Subspace._span_sparse(self.field, self.dim, [
+                self._mul(e, {i: self.field.one}) for i in range(self.dim)])
             zc = self._commutant(block)
             if zc.dim <= 1:
                 done.append((e, block))
@@ -297,6 +292,9 @@ class FiniteDimAlgebra:
         x, m = best
         roots = roots_in_field(m)
         one = self.field.one
+        powers = [e]  # e, x, ..., x^(deg - 1): each piece combines them
+        while len(powers) < m.degree:
+            powers.append(self._mul(powers[-1], x))
         pieces = []
         factor = m
         for lam in roots:
@@ -304,7 +302,8 @@ class FiniteDimAlgebra:
             factor = factor // t_minus
             h = m // t_minus
             inv = h(lam).inverse()
-            piece = {k: inv * c for k, c in self._eval_poly(h, x, e).items()}
+            piece = _combination({k: inv * c for k, c in enumerate(h.coeffs)
+                                  if c}, powers)
             if self._mul(piece, piece) != piece:
                 raise AlgebraError("central idempotent candidate failed")
             pieces.append(piece)

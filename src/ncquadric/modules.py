@@ -11,12 +11,15 @@ the elimination as sparse rows.  M_n is a GradedPiece, the piece type of
 A_n, with sparse generator tables in the same format, and the action of
 the algebra runs through the table step, word walk and right action that
 the algebra itself uses (quadratic.py).  On top of that sit the operations
-the hypersurface pipeline needs: graded Hom spaces (the kernel of sparse
-right_action rows), which also give End(M) (hypersurface.end_algebra);
-the summand e.M of an idempotent endomorphism, presented in closed form
-from the relations of M; recognition of cyclic quotients A/xA; and the
-degree-zero endomorphism algebra of a list of modules, its maps flattened
-by map_matrix and built with FiniteDimAlgebra.of_matrices.
+the hypersurface pipeline needs: graded Hom spaces, built once as sparse
+right_action rows per unknown (_hom_system) and read two ways, the maps as
+the kernel of their transpose (hom_space, which also gives End(M) in
+hypersurface.end_algebra) and the dimension as the unknowns less their
+rank (hom_graded); the summand e.M of an idempotent endomorphism,
+presented in closed form from the relations of M; recognition of cyclic
+quotients A/xA; and the degree-zero endomorphism algebra of a list of
+modules, its maps flattened by map_matrix and built with
+FiniteDimAlgebra.of_matrices.
 """
 
 from __future__ import annotations
@@ -381,14 +384,16 @@ def syzygy_shift_evidence(parent, classification, algebra, bound,
 # -- graded Hom and the degree-zero endomorphism table -------------------------
 
 
-def hom_space(P, Q, n):
-    """Basis of degree-n module maps P -> Q, as generator image tuples.
+def _hom_system(P, Q, n):
+    """Action rows of the degree-n Hom system P -> Q, with their offsets.
 
-    A map sends generator alpha of P (degree d) to an element of Q_(d+n);
-    a relation sum_alpha g_alpha a_alpha of degree e asks that the images
-    times the a_alpha sum to zero in Q_(e+n).  Each a_alpha acts through
-    quadratic.right_action, so the conditions are sparse rows, and the maps
-    are the kernel of all of them.
+    A map sends generator alpha of P (degree d) to an element of Q_(d+n),
+    so the unknowns are the coordinates of those images, one block per
+    generator.  A relation sum_alpha g_alpha a_alpha of degree e asks that
+    the images times the a_alpha sum to zero in Q_(e+n).  Each a_alpha acts
+    through quadratic.right_action, and row u holds what unknown u
+    contributes: one column block per relation, one column per basis
+    vector of its Q_(e+n).  The maps are the kernel of the transpose.
     """
     field = Q.field
     alg = Q.algebra
@@ -401,10 +406,9 @@ def hom_space(P, Q, n):
         b = Q.graded_dim(d + n)
         offsets.append((pos, b))
         pos += b
-    total = pos
-    rows = []
+    rows = [{} for _ in range(pos)]
+    col = 0
     for e, vec in P.presentation.relations:
-        conditions = [{} for _ in range(Q.graded_dim(e + n))]
         src_offsets, _ = P._free_offsets(e)
         for (start, b), (ostart, ob), d in zip(src_offsets, offsets, degrees):
             coeffs = sparse_row(field, vec[start:start + b])
@@ -413,20 +417,26 @@ def hom_space(P, Q, n):
             words = alg.basis_words(e - d)
             action = right_action(Q, d + n, [(words[j], c)
                                              for j, c in coeffs.items()])
-            for j, image in enumerate(action):
+            for row, image in zip(rows[ostart:ostart + ob], action):
                 for p, x in image.items():
-                    conditions[p][ostart + j] = x
-        rows.extend(conditions)
-    kernel = Matrix._from_sparse(field, rows, total).kernel()
-    maps = []
-    for row in kernel.rows:
-        maps.append(tuple(tuple(row[start:start + b])
-                          for start, b in offsets))
-    return tuple(maps)
+                    row[col + p] = x
+        col += Q.graded_dim(e + n)
+    return Matrix._from_sparse(field, rows, col), offsets
+
+
+def hom_space(P, Q, n):
+    """Basis of degree-n module maps P -> Q, as generator image tuples:
+    the kernel of the transposed action rows (see _hom_system)."""
+    system, offsets = _hom_system(P, Q, n)
+    kernel = system.transpose().kernel()
+    return tuple(tuple(tuple(row[start:start + b]) for start, b in offsets)
+                 for row in kernel.rows)
 
 
 def hom_graded(P, Q, n):
-    return len(hom_space(P, Q, n))
+    """dim Hom_n(P, Q): the unknowns less the rank of the action rows."""
+    system, _ = _hom_system(P, Q, n)
+    return system.nrows - system.rank()
 
 
 def map_matrix(images, size, source, target):
@@ -459,9 +469,10 @@ def preresolution_table(summand_presentations, algebra, bound):
     """Degree-0 endomorphism algebra of (summands + A) with its Hom table.
 
     The table rows run over the listed summands followed by the free module.
-    Hom dimensions are tabulated from degree -3 up to the bound; degree-0
-    Homs become a finite dimensional algebra under composition, and the
-    report records the triangular shape that gives global dimension <= 1.
+    Hom dimensions are tabulated from degree -3 up to the bound, as ranks
+    (hom_graded); only the degree-0 maps are built (hom_space).  They
+    become a finite dimensional algebra under composition, and the report
+    records the triangular shape that gives global dimension <= 1.
     """
     field = algebra.field
     modules = [GradedModule(algebra, p) for p in summand_presentations]
@@ -479,10 +490,11 @@ def preresolution_table(summand_presentations, algebra, bound):
         for i in range(count):
             dims = []
             for n in degrees:
-                space = hom_space(modules[i], target, n)
                 if n == 0:
-                    maps0[(i, j)] = space
-                dims.append(len(space))
+                    maps0[(i, j)] = space = hom_space(modules[i], target, n)
+                    dims.append(len(space))
+                else:
+                    dims.append(hom_graded(modules[i], target, n))
             hom_dims[(i, j)] = tuple(dims)
     table = tuple(tuple(hom_dims[(i, j)] for j in range(count))
                   for i in range(count))

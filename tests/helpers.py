@@ -6,9 +6,11 @@ from itertools import product
 from math import lcm
 
 from ncquadric import (AlgebraError, AmbientMismatch, FiniteDimAlgebra,
-                       GradedModule, Matrix, ModulePresentation,
-                       QuadraticPresentation, Subspace, build_context,
-                       koszul_component, koszul_transition, pipeline)
+                       GradedModule, Matrix, ModulePresentation, Polynomial,
+                       QuadraticPresentation, SmallRng, Subspace,
+                       build_context, koszul_component, koszul_transition,
+                       pipeline, roots_in_field)
+from ncquadric.linalg import add_multiple
 from ncquadric.presentation import parse_file
 
 
@@ -274,6 +276,67 @@ def trace_form_radical(alg):
     lm = [left_mult_matrix(alg, alg.basis_vector(i)) for i in range(alg.dim)]
     gram = Matrix(alg.field, [[(a * b).trace() for b in lm] for a in lm])
     return Subspace.span(alg.field, alg.dim, gram.kernel().rows)
+
+
+def horner_eval(alg, poly, a, unit):
+    """poly(a) by Horner's rule, the constant term times the given unit."""
+    acc = {}
+    for c in reversed(poly.coeffs):
+        acc = alg._mul(acc, a)
+        if c:
+            add_multiple(acc, c, unit)
+    return acc
+
+
+def two_sided_block(alg, e):
+    """eAe as the span of the e * b_i * e, two products per basis element."""
+    one = alg.field.one
+    return Subspace._span_sparse(
+        alg.field, alg.dim,
+        [alg._mul(alg._mul(e, {i: one}), e) for i in range(alg.dim)])
+
+
+def reference_central_split(alg, seed):
+    """The central split of a split semisimple algebra by the route the
+    package used before it read eAe as eA and combined powers: each block
+    two-sided, each piece h(x) / h(lambda) evaluated by Horner's rule.
+    Returns the (central idempotent, block) pairs as sparse rows and
+    Subspaces, in the order the package keeps them."""
+    rng = SmallRng(seed)
+    one = alg.field.one
+    work = [alg._unit]
+    done = []
+    while work:
+        e = work.pop(0)
+        block = two_sided_block(alg, e)
+        zc = alg._commutant(block)
+        if zc.dim <= 1:
+            done.append((e, block))
+            continue
+        best = None
+        candidates = list(zc.sparse)
+        candidates += [alg._random_element(zc, rng) for _ in range(32)]
+        for x in candidates:
+            if not x:
+                continue
+            m = alg.min_poly(x, unit=e)
+            if m.degree < 2:
+                continue
+            if best is None or m.degree > best[1].degree:
+                best = (x, m)
+            if m.degree == zc.dim:
+                break
+        x, m = best
+        roots = roots_in_field(m)
+        assert len(roots) == m.degree, "the reference needs a split center"
+        pieces = []
+        for lam in roots:
+            h = m // Polynomial(alg.field, [-lam, one])
+            inv = h(lam).inverse()
+            pieces.append({k: inv * c
+                           for k, c in horner_eval(alg, h, x, e).items()})
+        work = pieces + work
+    return done
 
 
 # -- reference scalar arithmetic on Fraction coordinates -----------------------

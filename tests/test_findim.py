@@ -6,8 +6,8 @@ import pytest
 from ncquadric import AlgebraError, Field, FiniteDimAlgebra, NonSplit, \
     NotSemisimple, SmallRng, Subspace, end_algebra, stable_dual_algebra
 
-from helpers import (load_context, matrix_apply, right_mult_matrix,
-                     trace_form_radical)
+from helpers import (load_context, matrix_apply, reference_central_split,
+                     right_mult_matrix, trace_form_radical)
 
 
 @pytest.fixture(scope="module")
@@ -271,10 +271,16 @@ def test_radical_is_the_kernel_of_the_trace_form(Q, golden_end, cusp_ctx):
         assert alg.radical().dim == rad_dim
 
 
-def test_block_structure_reuses_the_blocks_of_the_central_split(monkeypatch):
+@pytest.fixture(scope="module")
+def skew4_end():
     skew4 = Path(__file__).resolve().parent.parent / "bench" / "corpus" / \
         "skew4.pres"
-    alg = end_algebra(load_context(skew4, bound=4)).algebra
+    return end_algebra(load_context(skew4, bound=4)).algebra
+
+
+def test_block_structure_reuses_the_blocks_of_the_central_split(
+        monkeypatch, skew4_end):
+    alg = skew4_end
     idems = alg.primitive_idempotents(seed=3)
     real = FiniteDimAlgebra._block_subspace
     calls = []
@@ -287,3 +293,35 @@ def test_block_structure_reuses_the_blocks_of_the_central_split(monkeypatch):
     sizes = alg.block_structure(seed=3)
     assert calls == []
     assert sum(sizes) == len(idems)
+
+
+def matrix_times_rationals(Q):
+    """M_2(Q) x Q as block-diagonal 3 x 3 matrices."""
+    units = []
+    for r, c in ((0, 0), (0, 1), (1, 0), (1, 1), (2, 2)):
+        mat = [[0] * 3 for _ in range(3)]
+        mat[r][c] = 1
+        units.append(mat)
+    one, z = Q.one, Q.zero
+    return FiniteDimAlgebra.of_matrices(
+        Q, ("e11", "e12", "e21", "e22", "f"), flat_span(Q, units),
+        [one, z, z, z, one, z, z, z, one])
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_central_split_matches_the_two_sided_horner_route(
+        seed, Q, golden_end, skew4_end):
+    # the split reads each central block as eA and each piece off one
+    # table of powers; the reference takes eAe with two products and
+    # evaluates every piece by Horner's rule
+    cases = [(skew4_end, 8), (golden_end.algebra, 4),
+             (matrix_times_rationals(Q), 2)]
+    for alg, count in cases:
+        want = reference_central_split(alg, seed)
+        got = alg._blocks(seed)
+        assert len(got) == len(want) == count
+        for (e, block), (e_ref, block_ref) in zip(got, want):
+            assert e == e_ref
+            assert block == block_ref
+        assert alg.central_primitive_idempotents(seed) == [
+            alg._tuple(e) for e, _ in want]

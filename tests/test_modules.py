@@ -294,6 +294,44 @@ def test_hom_into_free_matches_annihilator_count(golden_ctx,
     assert got[0] == 0  # strictly triangular corner
 
 
+@pytest.mark.parametrize("path", ["inputs/quadric3.pres",
+                                  "bench/corpus/skew4.pres"])
+def test_hom_graded_is_the_dimension_of_hom_space(path):
+    # hom_graded reads a rank off the action rows, hom_space takes the
+    # kernel of their transpose; both must agree on every pair and degree
+    ctx = load_context(ROOT / path, bound=6)
+    algebra = ctx.quotient
+    field = algebra.field
+    module = GradedModule(algebra, syzygy_presentation(ctx))
+    _, cyclic = idempotent_summand(
+        module, idempotent_matrices(end_algebra(ctx))[0])
+    assert cyclic.generator_degrees == (0,)
+
+    def row(size):
+        # nonzero at the odd places only: a denser row makes the skew4
+        # systems several times slower without reaching other code
+        return tuple(field.from_rational((5 * k + 2) % 7 - 3 if k % 2 else 0)
+                     for k in range(size))
+
+    a1, a2 = algebra.graded_dim(1), algebra.graded_dim(2)
+    presentations = [
+        module.presentation,
+        free_module(algebra).presentation,
+        cyclic,
+        ModulePresentation((0,), ((2, row(a2)),)),
+        ModulePresentation((0, 1), ((2, row(a2 + a1)),)),
+    ]
+    modules = [GradedModule(algebra, p) for p in presentations]
+    dims = []
+    for source in modules:
+        for target in modules:
+            for n in range(-3, 5):
+                want = len(hom_space(source, target, n))
+                assert hom_graded(source, target, n) == want, n
+                dims.append(want)
+    assert len(dims) == 200 and max(dims) > 0
+
+
 def test_hom_negative_degree_vanishes(golden_ctx, golden_module):
     free = free_module(golden_ctx.quotient)
     for n in (-3, -2, -1):
