@@ -2,12 +2,13 @@
 
 An element of a field of degree e is a coordinate vector over the power
 basis 1, t, ..., t^(e-1), stored as e integer numerators over one common
-positive denominator in lowest terms.  Each arithmetic result costs one gcd
-(none when the denominator is 1), equality is an integer-tuple compare, and
-the modulus being a monic integer polynomial keeps the reduction of t^e
-integral.  ``fractions.Fraction`` is used only at the boundary: building an
-element from rational coordinates and reading them back as ``coords``.  All
-arithmetic is exact; nothing here ever rounds.
+positive denominator in lowest terms.  Elements are immutable, so a product
+with a factor of 1 is the other factor itself; every other arithmetic result
+costs one gcd (none when the denominator is 1).  Equality is an integer-tuple
+compare, and the modulus being a monic integer polynomial keeps the reduction
+of t^e integral.  ``fractions.Fraction`` is used only at the boundary:
+building an element from rational coordinates and reading them back as
+``coords``.  All arithmetic is exact; nothing here ever rounds.
 
 Roots in the base field take one route for every field: factor over Z, and
 over a proper extension factor a norm over Z (Trager).  The same factoriser
@@ -293,7 +294,7 @@ class Field:
     """
 
     __slots__ = ("kind", "degree", "modulus", "symbol", "_theta_pows",
-                 "zero", "one")
+                 "zero", "one", "minus_one")
 
     def __init__(self, kind, modulus=None):
         if kind == RATIONALS:
@@ -315,6 +316,7 @@ class Field:
         zeros = (0,) * (self.degree - 1)
         self.zero = _make(self, (0,) + zeros, 1)
         self.one = _make(self, (1,) + zeros, 1)
+        self.minus_one = _make(self, (-1,) + zeros, 1)
 
     def _reduction_table(self):
         """Integer coordinates of t^e, ..., t^(2e-2) over 1, ..., t^(e-1)."""
@@ -477,8 +479,15 @@ class FieldElement:
             if o is None:
                 return NotImplemented
         field = self.field
-        e = field.degree
         a, b = self.num, o.num
+        # elements are immutable and in lowest terms: by a factor of 1 the
+        # product is the other factor, and no new element is built
+        one = field.one.num
+        if b == one and o.den == 1:
+            return self
+        if a == one and self.den == 1 and o.field is field:
+            return o
+        e = field.degree
         den = self.den * o.den
         if e == 1:
             return _make(field, (a[0] * b[0],), den)

@@ -239,17 +239,15 @@ class FiniteDimAlgebra:
             self.field, self.dim,
             [self._mul(self._mul(e, {i: one}), e) for i in range(self.dim)])
 
-    def central_primitive_idempotents(self, seed=0):
-        """Orthogonal central idempotents with simple block centers.
+    def _blocks(self, seed):
+        """(e, eAe) for the orthogonal central idempotents e with simple
+        block centers.
 
         Raises NonSplit when the ground field misses eigenvalues, carrying
         the partial orthogonal decomposition found so far.  A split is
         computed once per seed, together with each block eAe; a NonSplit
         is not kept, so asking again raises it again.
         """
-        return [self._tuple(e) for e, _ in self._blocks(seed)]
-
-    def _blocks(self, seed):
         done = self._central.get(seed)
         if done is None:
             done = self._central[seed] = self._split_center(seed)

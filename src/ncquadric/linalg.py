@@ -54,7 +54,43 @@ def _dense(field, row, n):
 
 def add_multiple(row, f, other, skip=None):
     """row += f * other on sparse rows, in place, dropping cancelled
-    entries; column skip of other is left out.  f must be nonzero."""
+    entries; column skip of other is left out.  f must be nonzero.
+
+    f is tested once per call.  By f = 1 each entry of other is added, and
+    an entry new to the row is other's own (immutable) element; by f = -1
+    each entry is subtracted, and only the entries new to the row are
+    negated.  Any other f multiplies every entry.
+    """
+    if f.den == 1:
+        n = f.num
+        if n == f.field.one.num:
+            for j, x in other.items():
+                if j == skip:
+                    continue
+                y = row.get(j)
+                if y is None:
+                    row[j] = x
+                else:
+                    y = y + x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+            return
+        if n == f.field.minus_one.num:
+            for j, x in other.items():
+                if j == skip:
+                    continue
+                y = row.get(j)
+                if y is None:
+                    row[j] = -x
+                else:
+                    y = y - x
+                    if y:
+                        row[j] = y
+                    else:
+                        del row[j]
+            return
     for j, x in other.items():
         if j == skip:
             continue
@@ -420,17 +456,6 @@ class Subspace:
         v = self._outside(vector)
         self.reduce_sparse(v)
         return not v
-
-    def coords_of(self, vector):
-        """Coefficients of the vector over the basis rows, or None."""
-        v = self._outside(vector)
-        taken = self.reduce_sparse(v)
-        if v:
-            return None
-        coords = [self.field.zero] * self.dim
-        for i, f in taken:
-            coords[i] = f
-        return coords
 
     def intersect(self, other):
         self._check_ambient(other)

@@ -248,10 +248,28 @@ def linear_combination(sub, coords):
     return v
 
 
+def coords_of(sub, vector):
+    """Coefficients of the vector over the basis rows of sub, or None."""
+    v = sub._outside(vector)
+    taken = sub.reduce_sparse(v)
+    if v:
+        return None
+    coords = [sub.field.zero] * sub.dim
+    for i, f in taken:
+        coords[i] = f
+    return coords
+
+
 def is_subspace_of(sub, other):
     if sub.ambient_dim != other.ambient_dim or sub.field != other.field:
         raise AmbientMismatch("subspaces live in different ambient spaces")
     return all(other.contains(b) for b in sub.basis)
+
+
+def central_primitive_idempotents(alg, seed=0):
+    """The orthogonal central idempotents of alg with simple block centers,
+    as dense tuples; raises NonSplit as the central split does."""
+    return [alg._tuple(e) for e, _ in alg._blocks(seed)]
 
 
 def _mult_matrix(alg, times):

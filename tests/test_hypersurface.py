@@ -4,7 +4,8 @@ import pytest
 
 import oracle as O
 from conftest import ROOT
-from helpers import gauss, load_context, reference_end_solution, rows_pairs
+from helpers import (coords_of, gauss, load_context, reference_end_solution,
+                     rows_pairs)
 
 from ncquadric import (Field, NotCentral, NotRegularCertificate,
                        QuadraticPresentation, RelationDependence, Subspace,
@@ -199,7 +200,7 @@ def test_end_algebra_structure_is_the_matrix_product(golden_ctx, golden_end):
         [list(row) for row in sol.basis]
 
     def coords(f):
-        return tuple(sol.coords_of([c for row in f.rows for c in row]))
+        return tuple(coords_of(sol, [c for row in f.rows for c in row]))
 
     alg = golden_end.algebra
     basis = [alg.basis_vector(i) for i in range(alg.dim)]
@@ -207,4 +208,4 @@ def test_end_algebra_structure_is_the_matrix_product(golden_ctx, golden_end):
         [[coords(a * b) for b in mats] for a in mats]
     ident = [field.one if j == k else field.zero
              for j in range(m) for k in range(m)]
-    assert golden_end.algebra.unit == tuple(sol.coords_of(ident))
+    assert golden_end.algebra.unit == tuple(coords_of(sol, ident))

@@ -66,6 +66,37 @@ def test_ring_operations_match_fraction_coordinates(name, data):
 @pytest.mark.parametrize("name", FIELD_NAMES)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
+def test_products_by_computed_units_match_fraction_coordinates(name, data):
+    # 1 and -1 built by arithmetic, not the field.one singleton, as the
+    # engine meets them; a product by 1 is the other factor itself
+    field, a, b = draw_pair(name, data)
+    if not b:
+        return
+    one = b * b.inverse()
+    assert one is not field.one
+    for unit in (one, -one):
+        for got, want in (
+                (a * unit, fraction_mul(field, a.coords, unit.coords)),
+                (unit * a, fraction_mul(field, unit.coords, a.coords))):
+            assert got.coords == want
+            assert canonical(got)
+    assert a * one is a and a * 1 is a
+    assert one * a is (one if a == one else a)  # 1 * 1 keeps the left 1
+
+
+def test_a_product_by_one_keeps_the_field_object_of_the_left_factor():
+    # two equal but distinct field objects: a product carries the left
+    # factor's field object, by 1 as by any other factor
+    f, g = Field.gaussian(), Field.gaussian()
+    a = g.element((Fraction(2, 3), Fraction(-5)))
+    assert (f.one * a).field is f
+    assert (a * f.one).field is g
+    assert f.one * a == a
+
+
+@pytest.mark.parametrize("name", FIELD_NAMES)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
 def test_division_matches_fraction_coordinates(name, data):
     field, a, b = draw_pair(name, data)
     one = (Fraction(1),) + (Fraction(0),) * (field.degree - 1)

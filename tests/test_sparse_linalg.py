@@ -12,10 +12,11 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from helpers import (dense_kernel, dense_reduce, dense_rref, dense_solve,
-                     matrix_apply)
+from helpers import (coords_of, dense_kernel, dense_reduce, dense_rref,
+                     dense_solve, fraction_add, fraction_mul, matrix_apply)
 
 from ncquadric import Field, Matrix, Subspace
+from ncquadric.linalg import add_multiple, sparse_row
 
 FIELDS = {
     "Q": Field.rationals(),
@@ -118,7 +119,41 @@ def test_subspace_reduction_matches_dense_reference(case):
         resid, coords = dense_reduce(field, basis, pivots, vec)
         assert sub.reduce(vec) == resid
         assert sub.contains(vec) == (not any(resid))
-        assert sub.coords_of(vec) == (None if any(resid) else coords)
+        assert coords_of(sub, vec) == (None if any(resid) else coords)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@pytest.mark.parametrize("sign", (1, -1))
+def test_add_multiple_by_a_unit_matches_fraction_coordinates(name, sign):
+    # f = 1 and f = -1 are built by arithmetic, as elimination builds them,
+    # so they reach the unit branches without being the field.one object
+    field = FIELDS[name]
+    rng = random.Random(11 * sign)
+    n = 12
+    for _ in range(20):
+        x = scalar(field, rng)
+        f = x * x.inverse()
+        if sign < 0:
+            f = -f
+        assert f is not field.one and f is not field.minus_one
+        row_d = sparse_vector(field, rng, n, 0.5)
+        other_d = sparse_vector(field, rng, n, 0.5)
+        cancel, skip = rng.sample(range(n), 2)
+        other_d[cancel] = scalar(field, rng)
+        row_d[cancel] = -f * other_d[cancel]
+        other_d[skip] = scalar(field, rng)
+        row, other = sparse_row(field, row_d), sparse_row(field, other_d)
+        kept = dict(other)
+        add_multiple(row, f, other, skip)
+        want = {}
+        for j, (a, b) in enumerate(zip(row_d, other_d)):
+            c = a.coords if j == skip else fraction_add(
+                a.coords, fraction_mul(field, f.coords, b.coords))
+            if any(c):
+                want[j] = c
+        assert {j: y.coords for j, y in row.items()} == want
+        assert cancel not in row
+        assert other == kept and all(other[j] is y for j, y in kept.items())
 
 
 @pytest.mark.parametrize("name", sorted(FIELDS))
