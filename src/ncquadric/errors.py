@@ -51,7 +51,7 @@ class NonSplit(AlgebraError):
     Carries the offending polynomial factor and whatever partial central
     decomposition was certified before the failure.  ``decided`` is True
     when a central factor was proved to have no further roots in the field,
-    and False when the search for a rank-one idempotent in a matrix block
+    and False when the search for a proper idempotent in a matrix block
     gave up, so the block may still split.
     """
 

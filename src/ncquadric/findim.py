@@ -9,8 +9,9 @@ The radical is the kernel of the trace form Tr(L_a L_b) = tau(ab), read off
 the table through the trace functional tau(b_m) = sum_k c^k_{mk}.  Primitive
 idempotents: split the center with seeded generic elements, keeping each
 block eAe (eA, as e is central), each piece a combination of the powers of
-one central element; then hunt rank-one idempotents inside each matrix
-block.  Missing eigenvalues raise NonSplit with the partial decomposition.
+one central element; then split each matrix block by a proper idempotent,
+the right unit of a left ideal, and split both halves again.  Missing
+eigenvalues raise NonSplit with the partial decomposition.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ class SmallRng:
 @dataclass(frozen=True)
 class IdempotentSet:
     idempotents: tuple
-    kind: str
 
     def __len__(self):
         return len(self.idempotents)
@@ -331,7 +331,7 @@ class FiniteDimAlgebra:
             add_multiple(total, self.field.one, p)
         if total != self._unit:
             raise AlgebraError("idempotent family does not sum to the unit")
-        return IdempotentSet(tuple(map(self._tuple, prims)), "primitive")
+        return IdempotentSet(tuple(map(self._tuple, prims)))
 
     def _matrix_size(self, block, partial):
         """n for a simple block of dimension n^2; NonSplit otherwise."""
@@ -343,32 +343,34 @@ class FiniteDimAlgebra:
                 partial=tuple(map(self._tuple, partial)))
         return n
 
-    def _split_block(self, e, block, rng, found_so_far):
+    def _split_block(self, e, block, rng, partial):
+        """Primitive idempotents summing to e, whose block eAe is simple.
+
+        Split off any proper idempotent f of eAe, then split f and e - f the
+        same way (Ronyai 1990).  ``partial`` is the rest of the orthogonal
+        family, carried into a NonSplit.
+        """
         if block.dim == 1:
             return [e]
-        n = self._matrix_size(block, found_so_far + [e])
-        prims, current, cur_block = [], e, block
-        for cur_n in range(n, 1, -1):
-            e1 = self._rank_one_idempotent(current, cur_block, cur_n, n, rng,
-                                           found_so_far + prims)
-            prims.append(e1)
-            current = dict(current)
-            add_multiple(current, -self.field.one, e1)
-            cur_block = self._block_subspace(current)
-            if cur_block.dim != (cur_n - 1) ** 2:
-                raise AlgebraError("block splitting lost track of dimensions")
-        return prims + [current]
+        n = self._matrix_size(block, partial + [e])
+        f = self._proper_idempotent(e, block, n, rng, partial)
+        rest = dict(e)
+        add_multiple(rest, -self.field.one, f)
+        prims = self._split_block(f, self._block_subspace(f), rng,
+                                  partial + [rest])
+        return prims + self._split_block(rest, self._block_subspace(rest),
+                                         rng, partial + prims)
 
     def _left_ideal(self, block, y):
         return Subspace._span_sparse(self.field, self.dim,
                                      [self._mul(b, y) for b in block.sparse])
 
-    def _rank_one_idempotent(self, e, block, cur_n, n, rng, partial):
-        """A primitive idempotent inside the block eFe of matrix size cur_n.
+    def _proper_idempotent(self, e, block, n, rng, partial):
+        """An idempotent f other than 0 and e in the block eAe.
 
-        Strategy: take candidates x, use in-field eigenvalues to make x
-        singular, shrink the left ideal it generates down to minimal size n,
-        then solve for the right unit of that ideal.
+        For an in-field eigenvalue lam of a candidate x, y = x - lam*e is a
+        zero divisor, so its left ideal is proper; when it is not zero
+        either, its right unit is an idempotent of rank dim / n.
         """
         basis = block.sparse
         one = self.field.one
@@ -381,37 +383,19 @@ class FiniteDimAlgebra:
         for x in candidates:
             if not x:
                 continue
-            m = self.min_poly(x, unit=e)
-            if m.degree < 1:
-                continue
-            for lam in roots_in_field(m):
+            for lam in roots_in_field(self.min_poly(x, unit=e)):
                 y = dict(x)
                 if lam:
                     add_multiple(y, -lam, e)
-                if not y:
-                    continue
-                result = self._minimal_ideal_idempotent(block, y, n, rng)
-                if result is not None:
-                    return result
+                ideal = self._left_ideal(block, y)
+                if 0 < ideal.dim < block.dim:
+                    f = self._right_unit_of(ideal)
+                    if f is not None:
+                        return f
         raise NonSplit(
-            "no in-field eigenvalue produced a rank-one idempotent in a "
-            f"block of matrix size {cur_n} over {self.field.describe()}",
+            "no in-field eigenvalue produced a proper idempotent in a "
+            f"block of matrix size {n} over {self.field.describe()}",
             partial=tuple(map(self._tuple, partial + [e])), decided=False)
-
-    def _minimal_ideal_idempotent(self, block, y, n, rng):
-        ideal = self._left_ideal(block, y)
-        for _ in range(16):
-            if ideal.dim in (0, n):
-                return self._right_unit_of(ideal) if ideal.dim else None
-            dim = ideal.dim
-            inner = list(ideal.sparse)
-            inner += [self._random_element(ideal, rng) for _ in range(16)]
-            ideal = next((cand for cand in (self._left_ideal(block, z)
-                                            for z in inner if z)
-                          if 0 < cand.dim < dim), None)
-            if ideal is None:
-                return None
-        return None
 
     def _right_unit_of(self, ideal):
         """Solve l * u = l for all l in the ideal; any solution is idempotent."""

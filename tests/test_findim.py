@@ -141,14 +141,62 @@ def test_nonsplit_over_rationals(Q):
 
 
 def test_undecided_split_is_not_reported_as_nonsplit(Q, monkeypatch):
-    # M_2(Q) splits; a rank-one search that gives up proves nothing, so
-    # its NonSplit must say undecided
-    monkeypatch.setattr(FiniteDimAlgebra, "_minimal_ideal_idempotent",
-                        lambda self, block, y, n, rng: None)
+    # M_2(Q) splits; a search for a proper idempotent that gives up proves
+    # nothing, so its NonSplit must say undecided
+    monkeypatch.setattr(FiniteDimAlgebra, "_right_unit_of",
+                        lambda self, ideal: None)
     with pytest.raises(NonSplit) as exc:
         matrix_algebra(Q, 2).primitive_idempotents(seed=0)
     assert exc.value.decided is False
     assert exc.value.factor is None
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("n", (2, 3, 4))
+@pytest.mark.parametrize("field", ("Q", "Qi"))
+def test_full_matrix_algebras_split(field, n, seed, request):
+    alg = matrix_algebra(request.getfixturevalue(field), n)
+    idems = alg.primitive_idempotents(seed=seed).idempotents
+    assert len(idems) == n
+    for e in idems:
+        assert alg._block_subspace(alg._row(e, "idempotent")).dim == 1
+    assert alg.block_structure(seed=seed) == (n,)
+
+
+def quaternions(field):
+    """The quaternions (-1, -1): basis 1, i, j, k with ij = k = -ji."""
+    z, one = field.zero, field.one
+    # b_a * b_b = sign * b_c, kept as (sign, c)
+    products = {(0, b): (one, b) for b in range(4)}
+    products.update({(a, 0): (one, a) for a in range(1, 4)})
+    products.update({(a, a): (-one, 0) for a in range(1, 4)})
+    for a, b, c in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        products[a, b], products[b, a] = (one, c), (-one, c)
+
+    def vector(sign, c):
+        return tuple(sign if k == c else z for k in range(4))
+
+    structure = [[vector(*products[a, b]) for b in range(4)]
+                 for a in range(4)]
+    return FiniteDimAlgebra(field, ("1", "i", "j", "k"), structure,
+                            (one, z, z, z))
+
+
+def test_quaternions_are_undecided_over_the_rationals(Q):
+    # a division algebra: every in-field eigenvalue gives y = 0, so no
+    # candidate yields a proper left ideal
+    alg = quaternions(Q)
+    assert alg.is_semisimple() and alg.center().dim == 1
+    with pytest.raises(NonSplit) as exc:
+        alg.primitive_idempotents(seed=0)
+    assert exc.value.decided is False
+    assert exc.value.factor is None
+
+
+def test_quaternions_split_over_the_gaussian_field(Qi):
+    alg = quaternions(Qi)
+    assert len(alg.primitive_idempotents(seed=0)) == 2
+    assert alg.block_structure(seed=0) == (2,)
 
 
 def test_square_root_of_minus_one_over_the_eighth_cyclotomic_field():

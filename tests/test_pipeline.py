@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from ncquadric import FiniteDimAlgebra, STAGES, parse_source, run_pipeline
+from ncquadric import FiniteDimAlgebra, STAGES, end_algebra, parse_source, \
+    run_pipeline, stable_dual_algebra
 
-from helpers import STAGE_CALLS, break_stage
+from helpers import STAGE_CALLS, break_stage, load_context
 
 NOTQP = "field = Q\nvars = x, y\nrel = x*x\ncentral = y*y\n"
 
@@ -164,12 +165,19 @@ NODE_T4 = ("field = Q[t]/(t^4+1)\nvars = x, y\nrel = x*y - y*x\n"
 COMM3 = ("field = Q(i)\nvars = x, y, z\n"
          "rel = x*y - y*x\nrel = x*z - z*x\nrel = y*z - z*y\n"
          "central = x*x + y*y + z*z\n")
+COMM5 = ("field = Q(i)\nvars = x, y, z, u, w\n"
+         "rel = x*y - y*x\nrel = x*z - z*x\nrel = x*u - u*x\n"
+         "rel = x*w - w*x\nrel = y*z - z*y\nrel = y*u - u*y\n"
+         "rel = y*w - w*y\nrel = z*u - u*z\nrel = z*w - w*z\n"
+         "rel = u*w - w*u\n"
+         "central = x*x + y*y + z*z + u*u + w*w\n")
 
 
 def test_undecided_split_is_reported_as_undecided(monkeypatch):
-    # End(M) is M_2(Q(i)) here; stub the rank-one search so it gives up
-    monkeypatch.setattr(FiniteDimAlgebra, "_minimal_ideal_idempotent",
-                        lambda self, block, y, n, rng: None)
+    # End(M) is M_2(Q(i)) here; stub the right unit of every left ideal so
+    # the search for a proper idempotent gives up
+    monkeypatch.setattr(FiniteDimAlgebra, "_right_unit_of",
+                        lambda self, ideal: None)
     report = run_pipeline(parse_source(COMM3), degree=5, seed=0,
                           stop_after="mcm-classification")
     idem = report.stage("idempotents")
@@ -179,6 +187,41 @@ def test_undecided_split_is_reported_as_undecided(monkeypatch):
         "idempotent splitting is undecided over this field")
     assert not any("does not split" in w for w in report.warnings)
     assert report.verdict is True
+
+
+def test_a_matrix_block_of_size_4_splits_by_a_rank_2_idempotent(
+        monkeypatch, tmp_path):
+    # End(M) is M_4(Q(i)) here; its first proper left ideal has dimension
+    # 8, so the block splits into two halves of matrix size 2 first
+    real = FiniteDimAlgebra._right_unit_of
+    ideal_dims = []
+
+    def recording(self, ideal):
+        ideal_dims.append(ideal.dim)
+        return real(self, ideal)
+
+    monkeypatch.setattr(FiniteDimAlgebra, "_right_unit_of", recording)
+    report = run_pipeline(parse_source(COMM5), degree=4, seed=0,
+                          input_label="comm5")
+    assert ideal_dims[0] == 8
+    idem = report.stage("idempotents")
+    assert idem.status == "ok"
+    assert idem.data["count"] == 4
+    mcm = report.stage("mcm-classification").data
+    assert [s["hilbert"] for s in mcm["summands"]] == [
+        [4, 16, 40, 80, 140]] * 4
+    assert mcm["hilbert additivity"] is True
+    # as on comm4, no summand is cyclic, and the shift test reads only
+    # cyclic summands
+    assert report.stage("syzygy-shift").status == "failed"
+    assert report.exit_code == 1
+    # dual-crosscheck does not run after that failure: read its two block
+    # lists directly
+    path = tmp_path / "comm5.pres"
+    path.write_text(COMM5)
+    ctx = load_context(path, bound=4)
+    for alg in (end_algebra(ctx).algebra, stable_dual_algebra(ctx).algebra):
+        assert alg.quotient_by_radical().block_structure(seed=0) == (4,)
 
 
 def test_node_over_the_eighth_cyclotomic_field_splits():
