@@ -16,9 +16,9 @@ from .hypersurface import (HypersurfaceContext, build_context,
                            syzygy_presentation)
 from .linalg import Matrix, Subspace
 from .modules import (GradedModule, ModulePresentation, classify_mcm,
-                      free_module, hom_graded, hom_space,
-                      identify_cyclic_quotient, idempotent_summand,
-                      module_graded_dim, preresolution_table,
+                      direct_sum, end_algebra_of, free_module,
+                      hom_graded, hom_space, identify_cyclic_quotient,
+                      idempotent_summand, preresolution_table,
                       syzygy_shift_evidence)
 from .pipeline import STAGES, PipelineReport, StageReport, run_pipeline
 from .presentation import ParsedInput, parse_file, parse_source
@@ -38,12 +38,13 @@ __all__ = [
     "NotSemisimple", "ParseError", "ParsedInput", "PipelineReport",
     "Polynomial", "QuadraticPresentation", "RelationDependence",
     "SmallRng", "StageReport", "Subspace", "UnsupportedDimension",
-    "build_context", "classify_mcm", "dimension_identities", "end_algebra",
-    "free_module", "hom_graded", "hom_space", "identify_cyclic_quotient",
-    "idempotent_summand", "is_regular_deg2", "koszul_component",
-    "koszul_numeric_check", "koszul_space", "koszul_transition",
-    "linear_string", "module_graded_dim", "parse_field_spec", "parse_file",
-    "parse_source", "preresolution_table", "quantum_polynomial_certificate",
-    "roots_in_field", "run_pipeline", "STAGES", "stable_dual_algebra",
-    "syzygy_presentation", "syzygy_shift_evidence", "tensor2_string",
+    "build_context", "classify_mcm", "dimension_identities", "direct_sum",
+    "end_algebra", "end_algebra_of", "free_module", "hom_graded",
+    "hom_space", "identify_cyclic_quotient", "idempotent_summand",
+    "is_regular_deg2", "koszul_component", "koszul_numeric_check",
+    "koszul_space", "koszul_transition", "linear_string", "parse_field_spec",
+    "parse_file", "parse_source", "preresolution_table",
+    "quantum_polynomial_certificate", "roots_in_field", "run_pipeline",
+    "STAGES", "stable_dual_algebra", "syzygy_presentation",
+    "syzygy_shift_evidence", "tensor2_string",
 ]

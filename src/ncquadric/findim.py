@@ -10,8 +10,9 @@ the table through the trace functional tau(b_m) = sum_k c^k_{mk}.  Primitive
 idempotents: split the center with seeded generic elements, keeping each
 block eAe (eA, as e is central), each piece a combination of the powers of
 one central element; then split each matrix block by a proper idempotent,
-the right unit of a left ideal, and split both halves again.  Missing
-eigenvalues raise NonSplit with the partial decomposition.
+the right unit of a left ideal, and split both halves again; the matrix
+size of a block is the number of its primitives.  Missing eigenvalues
+raise NonSplit with the partial decomposition.
 """
 
 from __future__ import annotations
@@ -320,10 +321,7 @@ class FiniteDimAlgebra:
             raise NotSemisimple(
                 "primitive idempotent decomposition requires a semisimple "
                 "algebra")
-        rng = SmallRng(seed ^ 0x5DEECE)
-        prims = []
-        for e, block in self._blocks(seed):
-            prims.extend(self._split_block(e, block, rng, prims))
+        prims = [p for found in self._split_blocks(seed) for p in found]
         total = {}
         for p in prims:
             if any(self._mul(p, q) != (p if p == q else {}) for q in prims):
@@ -333,15 +331,15 @@ class FiniteDimAlgebra:
             raise AlgebraError("idempotent family does not sum to the unit")
         return IdempotentSet(tuple(map(self._tuple, prims)))
 
-    def _matrix_size(self, block, partial):
-        """n for a simple block of dimension n^2; NonSplit otherwise."""
-        n = isqrt(block.dim)
-        if n * n != block.dim:
-            raise NonSplit(
-                "simple block dimension is not a perfect square over "
-                f"{self.field.describe()}",
-                partial=tuple(map(self._tuple, partial)))
-        return n
+    def _split_blocks(self, seed):
+        """The primitive idempotents of each central block, block by block."""
+        rng = SmallRng(seed ^ 0x5DEECE)
+        prims = []
+        out = []
+        for e, block in self._blocks(seed):
+            out.append(self._split_block(e, block, rng, prims))
+            prims.extend(out[-1])
+        return out
 
     def _split_block(self, e, block, rng, partial):
         """Primitive idempotents summing to e, whose block eAe is simple.
@@ -352,8 +350,12 @@ class FiniteDimAlgebra:
         """
         if block.dim == 1:
             return [e]
-        n = self._matrix_size(block, partial + [e])
-        f = self._proper_idempotent(e, block, n, rng, partial)
+        if isqrt(block.dim) ** 2 != block.dim:
+            raise NonSplit(
+                "simple block dimension is not a perfect square over "
+                f"{self.field.describe()}",
+                partial=tuple(map(self._tuple, partial + [e])))
+        f = self._proper_idempotent(e, block, rng, partial)
         rest = dict(e)
         add_multiple(rest, -self.field.one, f)
         prims = self._split_block(f, self._block_subspace(f), rng,
@@ -365,12 +367,12 @@ class FiniteDimAlgebra:
         return Subspace._span_sparse(self.field, self.dim,
                                      [self._mul(b, y) for b in block.sparse])
 
-    def _proper_idempotent(self, e, block, n, rng, partial):
+    def _proper_idempotent(self, e, block, rng, partial):
         """An idempotent f other than 0 and e in the block eAe.
 
         For an in-field eigenvalue lam of a candidate x, y = x - lam*e is a
         zero divisor, so its left ideal is proper; when it is not zero
-        either, its right unit is an idempotent of rank dim / n.
+        either, its right unit is an idempotent.
         """
         basis = block.sparse
         one = self.field.one
@@ -394,7 +396,8 @@ class FiniteDimAlgebra:
                         return f
         raise NonSplit(
             "no in-field eigenvalue produced a proper idempotent in a "
-            f"block of matrix size {n} over {self.field.describe()}",
+            f"simple block of dimension {block.dim} over "
+            f"{self.field.describe()}",
             partial=tuple(map(self._tuple, partial + [e])), decided=False)
 
     def _right_unit_of(self, ideal):
@@ -411,8 +414,9 @@ class FiniteDimAlgebra:
         return u
 
     def block_structure(self, seed=0):
-        """Multiset of matrix sizes of the simple blocks, smallest first."""
+        """Multiset of matrix sizes of the simple blocks, smallest first:
+        the number of primitive idempotents in each block.  Raises NonSplit
+        as primitive_idempotents does, so a division block has no size."""
         if not self.is_semisimple():
             raise NotSemisimple("block structure requires a semisimple algebra")
-        return tuple(sorted(self._matrix_size(block, [e])
-                            for e, block in self._blocks(seed)))
+        return tuple(sorted(map(len, self._split_blocks(seed))))

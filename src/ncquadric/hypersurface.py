@@ -4,11 +4,11 @@ Given a quantum polynomial algebra S and a central regular element w of
 degree 2, the quotient A is presented by the relations of S together with
 w.  The key player is the d-th syzygy module M of the trivial module
 (d = dim V - 1), presented by the Koszul space C_d with relations C_(d+1).
-Its degree-0 endomorphism algebra, hom_space(M, M, 0), decides whether A is
-an isolated singularity, and the localized quadratic dual gives an
-independent second construction of the same algebra.  Every product matrix
-in both routes is read off the sparse generator tables through
-quadratic.right_action.
+Its degree-0 endomorphism algebra, built by modules.end_algebra_of from
+hom_space(M, M, 0), decides whether A is an isolated singularity, and the
+localized quadratic dual gives an independent second construction of the
+same algebra.  Every product matrix in both routes is read off the sparse
+generator tables through quadratic.right_action.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .errors import (NoStableCentral, NotCentral, NotRegularCertificate,
                      RelationDependence, UnsupportedDimension)
 from .findim import FiniteDimAlgebra
-from .linalg import Matrix, Subspace, add_multiple, column_system
-from .modules import GradedModule, ModulePresentation, hom_space, map_matrix
+from .linalg import Matrix, add_multiple, column_system
+from .modules import GradedModule, ModulePresentation, end_algebra_of
 from .quadratic import QuadraticPresentation, is_regular_deg2, right_action
 from .tensors import KOSZUL_DUAL, koszul_space, koszul_transition
 
@@ -103,37 +103,13 @@ def syzygy_presentation(ctx):
                               tuple((1, tuple(row)) for row in trans.rows))
 
 
-@dataclass(frozen=True)
-class EndAlgebraResult:
-    matrix_dim: int
-    solution: Subspace
-    basis_matrices: tuple
-    algebra: FiniteDimAlgebra
-    module: GradedModule  # the syzygy module the maps act on
-
-
 def end_algebra(ctx):
-    """Degree-0 endomorphisms of the syzygy module M, as hom_space(M, M, 0).
+    """Degree-0 endomorphisms of the syzygy module M: end_algebra_of(M).
 
-    A degree-0 endomorphism is an m x m matrix F over the C_d coordinates,
-    F[j][i] the coefficient of generator j in the image of generator i,
-    flattened row by row (map_matrix); these are the F with
-    (F (x) 1) C_(d+1) contained in C_(d+1).  Composing basis solutions
-    gives the structure constants.
+    A map is an m x m matrix F over the C_d coordinates with
+    (F (x) 1) C_(d+1) contained in C_(d+1).
     """
-    field = ctx.quotient.field
-    module = GradedModule(ctx.quotient, syzygy_presentation(ctx))
-    m = len(module.presentation.generator_degrees)
-    solution = Subspace._span_sparse(
-        field, m * m, [map_matrix(images, m, 0, 0)
-                       for images in hom_space(module, module, 0)])
-    mats = tuple(Matrix(field, [row[j * m:(j + 1) * m] for j in range(m)],
-                        ncols=m) for row in solution.basis)
-    ident = [field.one if j == k else field.zero
-             for j in range(m) for k in range(m)]
-    labels = tuple(f"f{k + 1}" for k in range(len(mats)))
-    algebra = FiniteDimAlgebra.of_matrices(field, labels, solution, ident)
-    return EndAlgebraResult(m, solution, mats, algebra, module)
+    return end_algebra_of(GradedModule(ctx.quotient, syzygy_presentation(ctx)))
 
 
 @dataclass(frozen=True)

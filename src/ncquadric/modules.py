@@ -13,13 +13,13 @@ the algebra runs through the table step, word walk and right action that
 the algebra itself uses (quadratic.py).  On top of that sit the operations
 the hypersurface pipeline needs: graded Hom spaces, built once as sparse
 right_action rows per unknown (_hom_system) and read two ways, the maps as
-the kernel of their transpose (hom_space, which also gives End(M) in
-hypersurface.end_algebra) and the dimension as the unknowns less their
-rank (hom_graded); the summand e.M of an idempotent endomorphism,
-presented in closed form from the relations of M; recognition of cyclic
-quotients A/xA; and the degree-zero endomorphism algebra of a list of
-modules, its maps flattened by map_matrix and built with
-FiniteDimAlgebra.of_matrices.
+the kernel of their transpose (hom_space) and the dimension as the
+unknowns less their rank (hom_graded); the summand e.M of an idempotent
+endomorphism, presented in closed form from the relations of M;
+recognition of cyclic quotients A/xA; direct sums; and the one builder of
+a degree-zero endomorphism algebra, end_algebra_of, which serves both
+End(M) (hypersurface.end_algebra) and the pre-resolution algebra
+End(M_1 (+) ... (+) M_k (+) A)_0.
 """
 
 from __future__ import annotations
@@ -168,10 +168,6 @@ class GradedModule:
 def free_module(algebra):
     """A itself as a right module over itself."""
     return GradedModule(algebra, ModulePresentation((0,), ()))
-
-
-def module_graded_dim(presentation, algebra, n):
-    return GradedModule(algebra, presentation).graded_dim(n)
 
 
 # -- idempotent summands -------------------------------------------------------
@@ -439,17 +435,71 @@ def hom_graded(P, Q, n):
     return system.nrows - system.rank()
 
 
-def map_matrix(images, size, source, target):
-    """A degree-0 map as a flattened size x size matrix, a sparse row.
+def direct_sum(modules):
+    """M_1 (+) ... (+) M_k: the generators side by side, and each relation
+    of a summand padded with zero blocks over the generators of the rest."""
+    algebra = modules[0].algebra
+    if any(M.algebra is not algebra for M in modules):
+        raise ValueError("a direct sum needs modules over one algebra")
+    zero = algebra.field.zero
+    degrees = tuple(d for M in modules
+                    for d in M.presentation.generator_degrees)
+    relations = []
+    start = 0
+    for M in modules:
+        stop = start + len(M.presentation.generator_degrees)
+        for e, vec in M.presentation.relations:
+            before, after = ((zero,) * sum(algebra.graded_dim(e - d)
+                                           for d in ds)
+                             for ds in (degrees[:start], degrees[stop:]))
+            relations.append((e, before + tuple(vec) + after))
+        start = stop
+    return GradedModule(algebra, ModulePresentation(degrees,
+                                                    tuple(relations)))
 
-    The map sends generator alpha of its source to images[alpha], over
-    the generators of its target; the source generators are the columns
-    from ``source`` on, the target generators the rows from ``target`` on,
-    so entry (row, column) sits at row * size + column.
+
+@dataclass(frozen=True)
+class EndAlgebraResult:
+    matrix_dim: int
+    solution: Subspace
+    basis_matrices: tuple
+    algebra: FiniteDimAlgebra
+    module: GradedModule  # the module the maps act on
+
+    def matrix(self, coords):
+        """The endomorphism with the given coordinates over the algebra
+        basis, as a matrix over the generators."""
+        mat = None
+        for c, bm in zip(coords, self.basis_matrices):
+            term = bm.scale(c)
+            mat = term if mat is None else mat + term
+        return mat
+
+
+def end_algebra_of(module):
+    """Degree-0 endomorphisms of a degree-0 generated module, as an algebra.
+
+    The maps are hom_space(module, module, 0).  A map is an m x m matrix F
+    over the generators, F[j][i] the coefficient of generator j in the
+    image of generator i, flattened row by row; composing basis maps gives
+    the structure constants (FiniteDimAlgebra.of_matrices).
     """
-    return {(target + beta) * size + source + alpha: c
-            for alpha, image in enumerate(images)
-            for beta, c in enumerate(image) if c}
+    if any(d != 0 for d in module.presentation.generator_degrees):
+        raise ValueError("End(M) as matrices needs a degree-0 generated "
+                         "module")
+    field = module.field
+    m = len(module.presentation.generator_degrees)
+    solution = Subspace._span_sparse(
+        field, m * m, [{j * m + i: c for i, image in enumerate(images)
+                        for j, c in enumerate(image) if c}
+                       for images in hom_space(module, module, 0)])
+    mats = tuple(Matrix(field, [row[j * m:(j + 1) * m] for j in range(m)],
+                        ncols=m) for row in solution.basis)
+    ident = [field.one if j == k else field.zero
+             for j in range(m) for k in range(m)]
+    labels = tuple(f"f{k + 1}" for k in range(len(mats)))
+    algebra = FiniteDimAlgebra.of_matrices(field, labels, solution, ident)
+    return EndAlgebraResult(m, solution, mats, algebra, module)
 
 
 @dataclass(frozen=True)
@@ -470,11 +520,10 @@ def preresolution_table(summand_presentations, algebra, bound):
 
     The table rows run over the listed summands followed by the free module.
     Hom dimensions are tabulated from degree -3 up to the bound, as ranks
-    (hom_graded); only the degree-0 maps are built (hom_space).  They
-    become a finite dimensional algebra under composition, and the report
-    records the triangular shape that gives global dimension <= 1.
+    (hom_graded).  The algebra is End(M_1 (+) ... (+) M_k (+) A)_0, built as
+    End(M) is (end_algebra_of), and the report records the triangular shape
+    that gives global dimension <= 1.
     """
-    field = algebra.field
     modules = [GradedModule(algebra, p) for p in summand_presentations]
     modules.append(free_module(algebra))
     labels = tuple([f"M{i + 1}" for i in range(len(summand_presentations))]
@@ -482,20 +531,13 @@ def preresolution_table(summand_presentations, algebra, bound):
     count = len(modules)
     degrees = tuple(range(-3, bound + 1))
     hom_dims = {}
-    maps0 = {}
     for j in range(count):
-        # hom_space reads only the target's levels; a fresh target keeps its
+        # hom_graded reads only the target's levels; a fresh target keeps its
         # level tables for this one column of the table, then drops them
         target = GradedModule(algebra, modules[j].presentation)
         for i in range(count):
-            dims = []
-            for n in degrees:
-                if n == 0:
-                    maps0[(i, j)] = space = hom_space(modules[i], target, n)
-                    dims.append(len(space))
-                else:
-                    dims.append(hom_graded(modules[i], target, n))
-            hom_dims[(i, j)] = tuple(dims)
+            hom_dims[(i, j)] = tuple(hom_graded(modules[i], target, n)
+                                     for n in degrees)
     table = tuple(tuple(hom_dims[(i, j)] for j in range(count))
                   for i in range(count))
     zero_at = degrees.index(0)
@@ -505,38 +547,11 @@ def preresolution_table(summand_presentations, algebra, bound):
     corner_zero = all(table[i][count - 1][zero_at] == 0
                       for i in range(count - 1))
     diagonal_dims = tuple(table[i][i][zero_at] for i in range(count - 1))
-
-    # the degree-0 composition algebra: a map P_i -> P_j is the block of
-    # one square matrix over all generator coordinates, in the rows of the
-    # generators of P_j and the columns of those of P_i
-    owner = [i for i, module in enumerate(modules)
-             for _ in module.presentation.generator_degrees]
-    size = len(owner)
-    starts = [owner.index(i) for i in range(count)]
-    blocks = {(i, j): [map_matrix(images, size, starts[i], starts[j])
-                       for images in space]
-              for (i, j), space in maps0.items()}
-
-    def algebra_of(pairs, members):
-        """The algebra of the maps of the given pairs, with the identity
-        of the member modules as its unit."""
-        span = Subspace._span_sparse(field, size * size, [
-            vec for pair in pairs for vec in blocks[pair]])
-        unit = [field.zero] * (size * size)
-        for p in range(size):
-            if owner[p] in members:
-                unit[p * size + p] = field.one
-        names = tuple(f"{labels[owner[p // size]]}<-"
-                      f"{labels[owner[p % size]]}.{t}"
-                      for t, p in enumerate(span.pivots))
-        return FiniteDimAlgebra.of_matrices(field, names, span, unit)
-
-    b0 = algebra_of(blocks, range(count))
-    diag_ok = True
-    if count > 1:
-        summands = range(count - 1)
-        diag_ok = algebra_of([(i, i) for i in summands],
-                             summands).is_semisimple()
+    # the radical of the diagonal product is the product of the radicals
+    diag_ok = all(end_algebra_of(M).algebra.is_semisimple()
+                  for M in modules[:-1])
     gldim = corner_zero and diag_ok
     return PreresolutionReport(labels, degrees, table, negative_ok,
-                               corner_zero, diagonal_dims, diag_ok, b0, gldim)
+                               corner_zero, diagonal_dims, diag_ok,
+                               end_algebra_of(direct_sum(modules)).algebra,
+                               gldim)

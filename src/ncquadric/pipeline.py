@@ -283,13 +283,7 @@ def _run_stages(report, parsed, degree, seed, skip_qp_check, stop_after):
     else:
         try:
             idset = end.algebra.primitive_idempotents(seed=seed)
-            idem_mats = []
-            for coords in idset.idempotents:
-                mat = None
-                for c, bm in zip(coords, end.basis_matrices):
-                    term = bm.scale(c)
-                    mat = term if mat is None else mat + term
-                idem_mats.append(mat)
+            idem_mats = [end.matrix(coords) for coords in idset.idempotents]
             proceed = add("idempotents", "ok", "",
                           **{"count": len(idem_mats),
                              "idempotent matrices":

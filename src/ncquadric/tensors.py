@@ -10,17 +10,10 @@ the quadratic dual, read off the classes of the words in the dual
 from __future__ import annotations
 
 from .errors import ContainmentViolated
-from .linalg import Matrix, Subspace, sparse_row
-from .quadratic import QuadraticPresentation, dense_class
+from .linalg import Matrix, Subspace
+from .quadratic import QuadraticPresentation
 
 KOSZUL_DUAL = "dual"
-
-
-def word_index(word, g):
-    flat = 0
-    for letter in word:
-        flat = flat * g + letter
-    return flat
 
 
 def koszul_space(rel, n, g, cache=None):
@@ -102,22 +95,6 @@ def _coords_left(vec, right, g):
         k, p = divmod(col, amb)
         slices[k][p] = x
     return _slice_coords(slices, right, lambda k, i: k * dim + i, "right")
-
-
-def tensor_coords_right(vector, left, g):
-    """Coordinates of a vector of W (x) V over basis rows of W tensor gens."""
-    if len(vector) != left.ambient_dim * g:
-        raise ValueError("vector does not live in W (x) V")
-    coords = _coords_right(sparse_row(left.field, vector), left, g)
-    return list(dense_class(coords.items(), left.dim * g, left.field.zero))
-
-
-def tensor_coords_left(vector, right, g):
-    """Coordinates of a vector of V (x) W over generators tensor basis rows."""
-    if len(vector) != g * right.ambient_dim:
-        raise ValueError("vector does not live in V (x) W")
-    coords = _coords_left(sparse_row(right.field, vector), right, g)
-    return list(dense_class(coords.items(), right.dim * g, right.field.zero))
 
 
 def check_koszul_nesting(rel, n, g, cache=None):

@@ -8,10 +8,12 @@ from math import lcm
 from ncquadric import (AlgebraError, AmbientMismatch, FiniteDimAlgebra,
                        GradedModule, Matrix, ModulePresentation, Polynomial,
                        QuadraticPresentation, SmallRng, Subspace,
-                       build_context, koszul_component, koszul_transition,
-                       pipeline, roots_in_field)
-from ncquadric.linalg import add_multiple
+                       build_context, hom_space, koszul_component,
+                       koszul_transition, pipeline, roots_in_field)
+from ncquadric.linalg import add_multiple, sparse_row
 from ncquadric.presentation import parse_file
+from ncquadric.quadratic import dense_class
+from ncquadric.tensors import _coords_left, _coords_right
 
 
 def to_pair(fe):
@@ -97,14 +99,12 @@ def load_context(path, bound):
 
 def idempotent_matrices(end, seed=0):
     """The primitive idempotents of End(M) as m x m matrices."""
-    mats = []
-    for coords in end.algebra.primitive_idempotents(seed=seed).idempotents:
-        mat = None
-        for c, bm in zip(coords, end.basis_matrices):
-            term = bm.scale(c)
-            mat = term if mat is None else mat + term
-        mats.append(mat)
-    return mats
+    return [end.matrix(coords) for coords in
+            end.algebra.primitive_idempotents(seed=seed).idempotents]
+
+
+def module_graded_dim(presentation, algebra, n):
+    return GradedModule(algebra, presentation).graded_dim(n)
 
 
 # -- reference constructions of End(M) and of its summands --------------------
@@ -172,6 +172,25 @@ def reference_idempotent_summand(parent, image, depth=2):
     return ModulePresentation((0,) * r, tuple(relations))
 
 
+def pairwise_preresolution_solution(modules):
+    """The degree-0 maps between the modules, assembled pair by pair: each
+    map M_i -> M_j from hom_space(M_i, M_j, 0) is the block of one square
+    matrix over all generators, in the rows of the generators of M_j and
+    the columns of those of M_i, flattened row by row.  Returns the span
+    of all the blocks, End(M_1 (+) ... (+) M_k)_0 as a subspace."""
+    owner = [i for i, module in enumerate(modules)
+             for _ in module.presentation.generator_degrees]
+    size = len(owner)
+    starts = [owner.index(i) for i in range(len(modules))]
+    vectors = [{(starts[j] + beta) * size + starts[i] + alpha: c
+                for alpha, image in enumerate(images)
+                for beta, c in enumerate(image) if c}
+               for i, source in enumerate(modules)
+               for j, target in enumerate(modules)
+               for images in hom_space(source, target, 0)]
+    return Subspace._span_sparse(modules[0].field, size * size, vectors)
+
+
 # the call each late stage makes, as (owner, attribute) for monkeypatch
 STAGE_CALLS = {
     "idempotents": (FiniteDimAlgebra, "primitive_idempotents"),
@@ -194,8 +213,15 @@ def break_stage(monkeypatch, name):
 # -- words, tensors and subspaces ---------------------------------------------
 
 
+def word_index(word, g):
+    flat = 0
+    for letter in word:
+        flat = flat * g + letter
+    return flat
+
+
 def index_word(flat, n, g):
-    """Inverse of ncquadric.tensors.word_index for words of length n."""
+    """Inverse of word_index for words of length n."""
     word = [0] * n
     for k in range(n - 1, -1, -1):
         word[k] = flat % g
@@ -205,6 +231,22 @@ def index_word(flat, n, g):
 
 def all_words(n, g):
     return list(product(range(g), repeat=n))
+
+
+def tensor_coords_right(vector, left, g):
+    """Coordinates of a vector of W (x) V over basis rows of W tensor gens."""
+    if len(vector) != left.ambient_dim * g:
+        raise ValueError("vector does not live in W (x) V")
+    coords = _coords_right(sparse_row(left.field, vector), left, g)
+    return list(dense_class(coords.items(), left.dim * g, left.field.zero))
+
+
+def tensor_coords_left(vector, right, g):
+    """Coordinates of a vector of V (x) W over generators tensor basis rows."""
+    if len(vector) != g * right.ambient_dim:
+        raise ValueError("vector does not live in V (x) W")
+    coords = _coords_left(sparse_row(right.field, vector), right, g)
+    return list(dense_class(coords.items(), right.dim * g, right.field.zero))
 
 
 def tensor_vector_from_coords(coords, left, g):

@@ -7,6 +7,8 @@ that is renamed, moved or deleted in the package breaks every traced run.
 import importlib.util
 import pathlib
 
+from conftest import ROOT
+
 TRACER = pathlib.Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
 
 
@@ -24,6 +26,34 @@ def test_every_traced_target_is_defined_on_its_owner():
                for owner, attr, _, _ in targets
                if attr not in owner.__dict__]
     assert missing == []
+
+
+def traced_calls(capsys, *argv):
+    """Span counts of one traced CLI run, by span name."""
+    from ncquadric import cli
+
+    with load_tracer().Tracer() as tracer:
+        assert cli.main(list(argv)) == 0
+    capsys.readouterr()
+    return tracer.calls
+
+
+def test_the_end_algebra_hom_call_is_traced(capsys):
+    calls = traced_calls(capsys, str(ROOT / "inputs" / "quadric3.pres"),
+                         "--degree", "4", "--stage", "end-algebra")
+    assert calls["modules.hom_space"] == 1
+
+
+def test_a_full_run_reaches_every_traced_target(capsys):
+    calls = traced_calls(capsys, str(ROOT / "inputs" / "quadric3.pres"),
+                         "--degree", "4")
+    names = {name for _, _, name, _ in load_tracer().targets()}
+    # intersect, reduce and mult_by_element have no caller in the package;
+    # quadratic.multiply runs only for powers of the dual's central element,
+    # which a three-generator input (half = 1) does not take
+    assert names - set(calls) == {"linalg.intersect", "linalg.reduce",
+                                  "modules.mult_by_element",
+                                  "quadratic.multiply"}
 
 
 class StubTracer:

@@ -96,6 +96,21 @@ def test_nonsplit_exit_zero(capsys):
     assert "[mcm-classification] skipped" in out
 
 
+def test_a_division_algebra_block_has_no_matrix_size(capsys):
+    # End(M) is the quaternions (-1, -1) over Q: the split gives up, and
+    # the cross-check must not print a 2 x 2 matrix block for it
+    rc, out, _ = run(capsys, "inputs/comm3_rational.pres")
+    assert rc == 0
+    lines = out.splitlines()
+    assert ("[idempotents] warning  (no in-field eigenvalue produced a "
+            "proper idempotent in a simple block of dimension 4 over Q)"
+            in lines)
+    assert "  dual blocks: unavailable over this field" in lines
+    assert "  end blocks: unavailable over this field" in lines
+    assert "  blocks match: -" in lines
+    assert "[dual-crosscheck] ok" in lines
+
+
 def test_module_entry_point():
     import subprocess
     import sys

@@ -193,6 +193,14 @@ def test_quaternions_are_undecided_over_the_rationals(Q):
     assert exc.value.factor is None
 
 
+def test_a_division_block_has_no_matrix_size(Q):
+    # the block size is the number of primitives, not isqrt(dim) = 2
+    with pytest.raises(NonSplit) as exc:
+        quaternions(Q).block_structure(seed=0)
+    assert exc.value.decided is False
+    assert "simple block of dimension 4 over Q" in str(exc.value)
+
+
 def test_quaternions_split_over_the_gaussian_field(Qi):
     alg = quaternions(Qi)
     assert len(alg.primitive_idempotents(seed=0)) == 2

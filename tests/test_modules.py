@@ -5,16 +5,17 @@ import pytest
 import oracle as O
 from conftest import ROOT
 from helpers import (class_coords, flatten_matrix, gauss, idempotent_matrices,
-                     load_context, normalize_line,
+                     load_context, module_graded_dim, normalize_line,
+                     pairwise_preresolution_solution,
                      reference_idempotent_summand, representative,
                      rows_pairs, vec_pairs)
 
 from ncquadric import (AdditivityViolated, AlgebraError, GradedModule,
                        Matrix, ModulePresentation, NotIsolated,
-                       SmallRng, Subspace, classify_mcm, end_algebra,
-                       free_module,
+                       SmallRng, Subspace, classify_mcm, direct_sum,
+                       end_algebra, end_algebra_of, free_module,
                        hom_graded, hom_space, identify_cyclic_quotient,
-                       idempotent_summand, linear_string, module_graded_dim,
+                       idempotent_summand, linear_string,
                        preresolution_table, syzygy_presentation,
                        syzygy_shift_evidence)
 
@@ -362,6 +363,83 @@ def test_preresolution(golden_classification, golden_ctx):
     quo = table.algebra.quotient_by_radical()
     assert quo.dim == 5
     assert quo.is_semisimple()
+
+
+@pytest.mark.parametrize("path, bound", [("inputs/quadric3.pres", 6),
+                                         ("bench/corpus/skew4.pres", 4),
+                                         ("inputs/node_t4.pres", 6)])
+def test_preresolution_algebra_matches_the_pairwise_assembly(path, bound):
+    # End(M_1 (+) ... (+) M_k (+) A)_0 from one Hom system equals the span
+    # of the maps of every pair, each placed as a block
+    ctx = load_context(ROOT / path, bound=bound)
+    algebra = ctx.quotient
+    end = end_algebra(ctx)
+    presentations = [idempotent_summand(end.module, mat)[1]
+                     for mat in idempotent_matrices(end)]
+    modules = [GradedModule(algebra, p) for p in presentations]
+    modules.append(free_module(algebra))
+    want = pairwise_preresolution_solution(modules)
+    got = end_algebra_of(direct_sum(modules)).solution
+    assert (got.pivots, got.basis) == (want.pivots, want.basis)
+    table = preresolution_table(presentations, algebra, bound)
+    assert table.algebra.dim == want.dim
+
+
+def two_summand_modules(ctx):
+    """The syzygy module and a module on generators of degrees 0 and 1."""
+    algebra = ctx.quotient
+    field = algebra.field
+    size = algebra.graded_dim(2) + algebra.graded_dim(1)
+    row = tuple(field.from_rational((5 * k + 2) % 7 - 3 if k % 2 else 0)
+                for k in range(size))
+    return (GradedModule(algebra, syzygy_presentation(ctx)),
+            GradedModule(algebra, ModulePresentation((0, 1), ((2, row),))))
+
+
+def test_direct_sum_adds_hilbert_functions(golden_ctx):
+    P, Q = two_summand_modules(golden_ctx)
+    total = direct_sum([P, Q])
+    assert total.presentation.generator_degrees == (0, 0, 0, 0, 0, 1)
+    assert total.hilbert(5) == [p + q for p, q in
+                                zip(P.hilbert(5), Q.hilbert(5))]
+
+
+def test_hom_from_a_direct_sum_adds_up(golden_ctx):
+    P, Q = two_summand_modules(golden_ctx)
+    total = direct_sum([P, Q])
+    for R in (free_module(golden_ctx.quotient), P, Q):
+        for n in range(-1, 4):
+            assert hom_graded(total, R, n) == (hom_graded(P, R, n)
+                                               + hom_graded(Q, R, n)), n
+
+
+def test_direct_sum_rejects_mixed_algebras(golden_ctx, node_ctx):
+    with pytest.raises(ValueError):
+        direct_sum([free_module(golden_ctx.quotient),
+                    free_module(node_ctx.quotient)])
+
+
+def test_preresolution_with_a_decomposable_summand_is_not_semisimple(
+        golden_ctx):
+    # A/xA (+) A passed as one summand: Hom_0(A/xA, A) is 0 and
+    # Hom_0(A, A/xA) is the line of the generator, so End_0 of the summand
+    # is triangular, and its radical is the map A -> A/xA
+    algebra = golden_ctx.quotient
+    field = algebra.field
+    x = (field.zero, field.one, field.element((0, 1)))  # y + i*z
+    cyclic = GradedModule(algebra, ModulePresentation((0,), ((1, x),)))
+    summand = direct_sum([cyclic, free_module(algebra)])
+    assert end_algebra_of(summand).algebra.radical().dim == 1
+    table = preresolution_table([summand.presentation], algebra, 4)
+    assert table.diagonal_dims == (3,)
+    assert not table.diagonal_semisimple
+    assert not table.gldim_le_1
+
+
+def test_end_algebra_of_needs_degree_zero_generators(golden_ctx):
+    _, Q = two_summand_modules(golden_ctx)
+    with pytest.raises(ValueError):
+        end_algebra_of(Q)
 
 
 def test_mult_by_element_degree_zero(golden_ctx, golden_module):

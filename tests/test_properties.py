@@ -2,10 +2,9 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from helpers import index_word
+from helpers import index_word, word_index
 
 from ncquadric import Field, Polynomial, SmallRng, Subspace
-from ncquadric.tensors import word_index
 
 QI = Field.gaussian()
 QQ = Field.rationals()

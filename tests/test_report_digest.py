@@ -26,7 +26,9 @@ def test_report_digest_repeats():
 
 def test_input_reports_match_the_pinned_digests():
     # tests/report_digests.txt pins the reports of every inputs/*.pres at
-    # degree 6, seeds 0 and 1; bench/corpus/comm4.pres in full at degree 6,
+    # degree 6, seeds 0 and 1, among them inputs/comm3_rational.pres, whose
+    # End(M) is a division algebra and whose blocks read "unavailable";
+    # bench/corpus/comm4.pres in full at degree 6,
     # seed 0, the one run that takes the rank-2 summand path;
     # bench/corpus/skew3.pres at degree 12, seed 0, the deep Hom table over
     # an extension field; and bench/corpus/skew4.pres at degree 6, seed 0,

@@ -1,14 +1,14 @@
 import pytest
 
 import oracle as O
-from helpers import (all_words, index_word, rows_pairs,
-                     tensor_vector_from_coords)
+from helpers import (all_words, index_word, rows_pairs, tensor_coords_left,
+                     tensor_coords_right, tensor_vector_from_coords,
+                     word_index)
 
 from ncquadric import (ContainmentViolated, Field, QuadraticPresentation,
                        Subspace, build_context, parse_source)
 from ncquadric.tensors import (check_koszul_nesting, koszul_space,
-                               koszul_transition, tensor_coords_left,
-                               tensor_coords_right, word_index)
+                               koszul_transition)
 
 
 def test_word_index_roundtrip():
