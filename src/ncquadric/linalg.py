@@ -5,8 +5,10 @@ Row-oriented throughout.  The working format is the sparse row, a dict
 way (``sparse``) and show them densely on first use (``rows``,
 ``basis``).  One elimination routine (_eliminate) works on sparse rows,
 and every rref, kernel, solve, inverse and span goes through it by way of
-Matrix.rref.  A Subspace keeps the canonical reduced-row-echelon basis of
-its row space.  That form is unique, so the order of elimination never
+Matrix.rref.  Matrix.rank, which reads only the pivot count, eliminates
+forward alone, without clearing earlier pivot rows, unless the rref is
+already cached.  A Subspace keeps the canonical reduced-row-echelon basis
+of its row space.  That form is unique, so the order of elimination never
 shows in a result, and repeated runs produce identical output.
 
 Entries from outside are coerced into the field (``Matrix(...)``,
@@ -278,7 +280,32 @@ class Matrix:
         return result
 
     def rank(self):
-        return len(self.rref()[1])
+        """Number of pivots, by forward elimination alone (or the cached
+        rref).
+
+        Each row is reduced at its leading column by the pivot row there,
+        column by column in increasing order, since a reduction may fill in
+        a later pivot column; a leading column without a pivot row becomes
+        a new pivot.  Pivot rows are kept normalised, without their pivot
+        entry, and never cleared against later pivots: a rank does not read
+        the reduced form.
+        """
+        if self._rref is not None:
+            return len(self._rref[1])
+        piv = {}
+        for src in self.sparse:
+            row = dict(src)
+            while row:
+                p = min(row)
+                prow = piv.get(p)
+                if prow is None:
+                    inv = row.pop(p).inverse()
+                    for j in row:
+                        row[j] = row[j] * inv
+                    piv[p] = row
+                    break
+                add_multiple(row, -row.pop(p), prow)
+        return len(piv)
 
     def kernel(self):
         """Canonical basis of the right null space, returned as matrix rows.

@@ -20,11 +20,20 @@ recognition of cyclic quotients A/xA; direct sums; and the one builder of
 a degree-zero endomorphism algebra, end_algebra_of, which serves both
 End(M) (hypersurface.end_algebra) and the pre-resolution algebra
 End(M_1 (+) ... (+) M_k (+) A)_0.
+
+Each module is built once per run.  A Hom source reads only its relation
+blocks, coerced once per module; a target reads its levels.  The free
+module A reads the algebra's own tables.  classify_mcm keeps each summand
+with its levels through the bound, and lets the syzygy module's levels go
+once the summands are cut (drop_levels keeps the dimensions that
+syzygy_shift_evidence reads); preresolution_table uses the kept summands
+as sources and targets, and lets each target's levels go once its column
+is done.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .errors import AdditivityViolated, AlgebraError, NotIsolated
 from .findim import FiniteDimAlgebra
@@ -48,6 +57,8 @@ class GradedModule:
         self.field = algebra.field
         self._levels = {}
         self._frontier = {}  # relation index -> (shift, translate blocks)
+        self._dims = {}  # degree -> (dim, relation span dim), once dropped
+        self._blocks = None  # relation blocks as a Hom source
         for e, vec in presentation.relations:
             if len(vec) != self._free_total(e):
                 raise ValueError(
@@ -120,22 +131,62 @@ class GradedModule:
         self._levels[n] = lvl
         return lvl
 
+    def drop_levels(self):
+        """Let the built levels and translates go, keeping the two numbers
+        of each level that graded_dim and relation_span_dim read; a later
+        level or table is built again."""
+        for n, lvl in self._levels.items():
+            self._dims[n] = (lvl.dim, lvl.rel_space.dim)
+        self._levels = {}
+        self._frontier = {}
+
     def graded_dim(self, n):
-        return self.level(n).dim
+        dims = self._dims.get(n)
+        return self.level(n).dim if dims is None else dims[0]
 
     def hilbert(self, bound):
         return [self.graded_dim(n) for n in range(bound + 1)]
 
     def relation_span_dim(self, n):
         """Dimension of the submodule the relations generate, in degree n."""
-        return self.level(n).rel_space.dim
+        dims = self._dims.get(n)
+        return self.level(n).rel_space.dim if dims is None else dims[1]
+
+    def _source_blocks(self):
+        """The relations as the source of a Hom system, built once.
+
+        One (degree, blocks) pair per relation, where blocks lists, for
+        each generator alpha whose block is nonzero, (alpha, terms): the
+        (normal word, coefficient) pairs of the block, as right_action
+        takes them.
+        """
+        if self._blocks is None:
+            alg = self.algebra
+            degrees = self.presentation.generator_degrees
+            out = []
+            for e, vec in self.presentation.relations:
+                blocks = []
+                offsets, _ = self._free_offsets(e)
+                for alpha, ((start, b), d) in enumerate(zip(offsets,
+                                                            degrees)):
+                    coeffs = sparse_row(self.field, vec[start:start + b])
+                    if coeffs:
+                        words = alg.basis_words(e - d)
+                        blocks.append((alpha, [(words[j], c)
+                                               for j, c in coeffs.items()]))
+                out.append((e, tuple(blocks)))
+            self._blocks = tuple(out)
+        return self._blocks
 
     def tables(self, n):
         """Generator tables of M_n: basis vector times x_l, classed in
         M_(n+1).  A basis vector sits in one generator block, so its
-        product is a row of the algebra's table placed in that block."""
+        product is a row of the algebra's table placed in that block; the
+        free module A reads the algebra's own tables."""
         lvl = self.level(n)
-        if lvl.gen_mult is None:
+        if lvl.gen_mult is None and self.presentation == FREE:
+            lvl.gen_mult = self.algebra.tables(n)
+        elif lvl.gen_mult is None:
             nxt = self.level(n + 1)
             alg = self.algebra
             degs = self.presentation.generator_degrees
@@ -165,9 +216,12 @@ class GradedModule:
                          self.field.zero)
 
 
+FREE = ModulePresentation((0,), ())
+
+
 def free_module(algebra):
     """A itself as a right module over itself."""
-    return GradedModule(algebra, ModulePresentation((0,), ()))
+    return GradedModule(algebra, FREE)
 
 
 # -- idempotent summands -------------------------------------------------------
@@ -264,6 +318,8 @@ class SummandInfo:
     presentation: ModulePresentation
     hilbert: tuple
     cyclic: CyclicMatch
+    # the summand with its levels through the bound, for the Hom table
+    module: GradedModule = dataclass_field(compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -278,18 +334,23 @@ def classify_mcm(parent, idempotent_matrices, algebra, bound):
 
     Idempotents act on degree-0 coordinates; each cuts out a summand in
     closed form (idempotent_summand), and the summand Hilbert functions
-    must add up to the parent's through the bound.
+    must add up to the parent's through the bound.  Once every summand is
+    cut, the parent's levels go (drop_levels): later stages read only its
+    dimensions.  Each summand keeps its module, levels built through the
+    bound, for the Hom table (preresolution_table).
     """
     parent_h = tuple(parent.graded_dim(n) for n in range(bound + 1))
+    cuts = [idempotent_summand(parent, mat) for mat in idempotent_matrices]
+    parent.drop_levels()
     infos = []
     total = [0] * (bound + 1)
-    for idx, mat in enumerate(idempotent_matrices):
-        image, pres = idempotent_summand(parent, mat)
+    for idx, (image, pres) in enumerate(cuts):
         summand = GradedModule(algebra, pres)
         h = tuple(summand.graded_dim(n) for n in range(bound + 1))
         total = [t + x for t, x in zip(total, h)]
         infos.append(SummandInfo(idx, image.basis, pres, h,
-                                 identify_cyclic_quotient(summand, bound)))
+                                 identify_cyclic_quotient(summand, bound),
+                                 summand))
     if tuple(total) != parent_h:
         raise AdditivityViolated(
             "summand Hilbert functions do not add up to the module; the "
@@ -389,11 +450,12 @@ def _hom_system(P, Q, n):
     the images times the a_alpha sum to zero in Q_(e+n).  Each a_alpha acts
     through quadratic.right_action, and row u holds what unknown u
     contributes: one column block per relation, one column per basis
-    vector of its Q_(e+n).  The maps are the kernel of the transpose.
+    vector of its Q_(e+n).  The maps are the kernel of the transpose.  The
+    a_alpha come from P's relation blocks (_source_blocks), built once per
+    module, and the rows of the first column block are the action rows
+    themselves.
     """
-    field = Q.field
-    alg = Q.algebra
-    if alg is not P.algebra:
+    if Q.algebra is not P.algebra:
         raise ValueError("hom requires modules over the same algebra")
     degrees = P.presentation.generator_degrees
     offsets = []
@@ -404,20 +466,22 @@ def _hom_system(P, Q, n):
         pos += b
     rows = [{} for _ in range(pos)]
     col = 0
-    for e, vec in P.presentation.relations:
-        src_offsets, _ = P._free_offsets(e)
-        for (start, b), (ostart, ob), d in zip(src_offsets, offsets, degrees):
-            coeffs = sparse_row(field, vec[start:start + b])
-            if not coeffs or not ob:
+    for e, blocks in P._source_blocks():
+        for alpha, terms in blocks:
+            ostart, ob = offsets[alpha]
+            if not ob:
                 continue
-            words = alg.basis_words(e - d)
-            action = right_action(Q, d + n, [(words[j], c)
-                                             for j, c in coeffs.items()])
+            action = right_action(Q, degrees[alpha] + n, terms)
+            if not col:
+                # the first column block: the fresh action rows are the
+                # system rows as they stand
+                rows[ostart:ostart + ob] = action
+                continue
             for row, image in zip(rows[ostart:ostart + ob], action):
                 for p, x in image.items():
                     row[col + p] = x
         col += Q.graded_dim(e + n)
-    return Matrix._from_sparse(field, rows, col), offsets
+    return Matrix._from_sparse(Q.field, rows, col), offsets
 
 
 def hom_space(P, Q, n):
@@ -515,29 +579,33 @@ class PreresolutionReport:
     gldim_le_1: bool
 
 
-def preresolution_table(summand_presentations, algebra, bound):
+def preresolution_table(summands, algebra, bound):
     """Degree-0 endomorphism algebra of (summands + A) with its Hom table.
 
-    The table rows run over the listed summands followed by the free module.
-    Hom dimensions are tabulated from degree -3 up to the bound, as ranks
-    (hom_graded).  The algebra is End(M_1 (+) ... (+) M_k (+) A)_0, built as
-    End(M) is (end_algebra_of), and the report records the triangular shape
-    that gives global dimension <= 1.
+    The summands are GradedModules, such as the modules classify_mcm keeps;
+    the table rows run over them followed by the free module A, whose
+    tables are the algebra's own.  Hom dimensions are tabulated from
+    degree -3 up to the bound, as ranks (hom_graded).  A source reads only
+    its relations, and a target its levels: each module serves as both,
+    and its levels go once its column is done, after its own End_0 has
+    been read.  The algebra is End(M_1 (+) ... (+) M_k (+) A)_0, built as
+    End(M) is (end_algebra_of), and the report records the triangular
+    shape that gives global dimension <= 1.
     """
-    modules = [GradedModule(algebra, p) for p in summand_presentations]
-    modules.append(free_module(algebra))
-    labels = tuple([f"M{i + 1}" for i in range(len(summand_presentations))]
-                   + ["A"])
+    modules = list(summands) + [free_module(algebra)]
+    labels = tuple([f"M{i + 1}" for i in range(len(summands))] + ["A"])
     count = len(modules)
     degrees = tuple(range(-3, bound + 1))
     hom_dims = {}
-    for j in range(count):
-        # hom_graded reads only the target's levels; a fresh target keeps its
-        # level tables for this one column of the table, then drops them
-        target = GradedModule(algebra, modules[j].presentation)
-        for i in range(count):
-            hom_dims[(i, j)] = tuple(hom_graded(modules[i], target, n)
+    # the radical of the diagonal product is the product of the radicals
+    diag_ok = True
+    for j, target in enumerate(modules):
+        for i, source in enumerate(modules):
+            hom_dims[(i, j)] = tuple(hom_graded(source, target, n)
                                      for n in degrees)
+        if j < count - 1 and diag_ok:
+            diag_ok = end_algebra_of(target).algebra.is_semisimple()
+        target.drop_levels()
     table = tuple(tuple(hom_dims[(i, j)] for j in range(count))
                   for i in range(count))
     zero_at = degrees.index(0)
@@ -547,9 +615,6 @@ def preresolution_table(summand_presentations, algebra, bound):
     corner_zero = all(table[i][count - 1][zero_at] == 0
                       for i in range(count - 1))
     diagonal_dims = tuple(table[i][i][zero_at] for i in range(count - 1))
-    # the radical of the diagonal product is the product of the radicals
-    diag_ok = all(end_algebra_of(M).algebra.is_semisimple()
-                  for M in modules[:-1])
     gldim = corner_zero and diag_ok
     return PreresolutionReport(labels, degrees, table, negative_ok,
                                corner_zero, diagonal_dims, diag_ok,

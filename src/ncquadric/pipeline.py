@@ -352,7 +352,7 @@ def _run_stages(report, parsed, degree, seed, skip_qp_check, stop_after):
         proceed = add("preresolution", "skipped", skip_reason)
     else:
         table = preresolution_table(
-            [info.presentation for info in classification.summands],
+            [info.module for info in classification.summands],
             ctx.quotient, degree)
         shape_ok = (table.negative_ok and table.corner_zero
                     and table.diagonal_semisimple

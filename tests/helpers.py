@@ -8,8 +8,9 @@ from math import lcm
 from ncquadric import (AlgebraError, AmbientMismatch, FiniteDimAlgebra,
                        GradedModule, Matrix, ModulePresentation, Polynomial,
                        QuadraticPresentation, SmallRng, Subspace,
-                       build_context, hom_space, koszul_component,
-                       koszul_transition, pipeline, roots_in_field)
+                       build_context, free_module, hom_graded, hom_space,
+                       koszul_component, koszul_transition, pipeline,
+                       roots_in_field)
 from ncquadric.linalg import add_multiple, sparse_row
 from ncquadric.presentation import parse_file
 from ncquadric.quadratic import dense_class
@@ -170,6 +171,23 @@ def reference_idempotent_summand(parent, image, depth=2):
                 span = Subspace.span(field, r * block,
                                      list(span.basis) + [list(row)])
     return ModulePresentation((0,) * r, tuple(relations))
+
+
+def reference_preresolution_dims(presentations, algebra, bound):
+    """The Hom table of preresolution_table, built the earlier way: every
+    module fresh from its presentation, a fresh target for each column,
+    and hom_graded for each cell.  table[i][j] lists dim Hom_n(M_i, M_j)
+    for n from -3 to the bound, the free module A last."""
+    presentations = list(presentations) + [free_module(algebra).presentation]
+    sources = [GradedModule(algebra, p) for p in presentations]
+    columns = []
+    for p in presentations:
+        target = GradedModule(algebra, p)
+        columns.append([tuple(hom_graded(source, target, n)
+                              for n in range(-3, bound + 1))
+                        for source in sources])
+    return tuple(tuple(column[i] for column in columns)
+                 for i in range(len(sources)))
 
 
 def pairwise_preresolution_solution(modules):

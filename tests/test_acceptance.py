@@ -223,7 +223,7 @@ def test_criterion_09_syzygy_shift(golden_module, golden_cls, golden_ctx):
 
 def test_criterion_10_preresolution(golden_cls, golden_ctx, golden_end):
     table = preresolution_table(
-        [info.presentation for info in golden_cls.summands],
+        [info.module for info in golden_cls.summands],
         golden_ctx.quotient, 6)
     assert table.negative_ok
     assert table.algebra.dim == 9

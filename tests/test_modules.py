@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,8 @@ from conftest import ROOT
 from helpers import (class_coords, flatten_matrix, gauss, idempotent_matrices,
                      load_context, module_graded_dim, normalize_line,
                      pairwise_preresolution_solution,
-                     reference_idempotent_summand, representative,
+                     reference_idempotent_summand,
+                     reference_preresolution_dims, representative,
                      rows_pairs, vec_pairs)
 
 from ncquadric import (AdditivityViolated, AlgebraError, GradedModule,
@@ -15,9 +17,9 @@ from ncquadric import (AdditivityViolated, AlgebraError, GradedModule,
                        SmallRng, Subspace, classify_mcm, direct_sum,
                        end_algebra, end_algebra_of, free_module,
                        hom_graded, hom_space, identify_cyclic_quotient,
-                       idempotent_summand, linear_string,
-                       preresolution_table, syzygy_presentation,
-                       syzygy_shift_evidence)
+                       idempotent_summand, linear_string, parse_file,
+                       pipeline, preresolution_table, run_pipeline,
+                       syzygy_presentation, syzygy_shift_evidence)
 
 ANNIHILATORS = {"y+i*z", "y-i*z", "x+z", "x-z"}
 
@@ -349,7 +351,7 @@ def test_hom_rejects_mixed_algebras(golden_ctx, node_ctx):
 
 def test_preresolution(golden_classification, golden_ctx):
     table = preresolution_table(
-        [info.presentation for info in golden_classification.summands],
+        [info.module for info in golden_classification.summands],
         golden_ctx.quotient, 6)
     assert table.labels == ("M1", "M2", "M3", "M4", "A")
     assert table.negative_ok
@@ -381,8 +383,62 @@ def test_preresolution_algebra_matches_the_pairwise_assembly(path, bound):
     want = pairwise_preresolution_solution(modules)
     got = end_algebra_of(direct_sum(modules)).solution
     assert (got.pivots, got.basis) == (want.pivots, want.basis)
-    table = preresolution_table(presentations, algebra, bound)
+    table = preresolution_table(modules[:-1], algebra, bound)
     assert table.algebra.dim == want.dim
+
+
+@pytest.mark.parametrize("path, bound", [("inputs/quadric3.pres", 6),
+                                         ("bench/corpus/skew4.pres", 4),
+                                         ("inputs/node_t4.pres", 6),
+                                         ("bench/corpus/skew3.pres", 8)])
+def test_preresolution_table_matches_fresh_modules_per_column(path, bound):
+    # the table reuses the modules classify_mcm keeps, levels built, as
+    # sources and targets, and reads A's own tables; the earlier route
+    # builds every module fresh, and a fresh target per column
+    ctx = load_context(ROOT / path, bound=bound)
+    end = end_algebra(ctx)
+    cls = classify_mcm(end.module, idempotent_matrices(end), ctx.quotient,
+                       bound)
+    want = reference_preresolution_dims(
+        [info.presentation for info in cls.summands], ctx.quotient, bound)
+    table = preresolution_table([info.module for info in cls.summands],
+                                ctx.quotient, bound)
+    assert table.table == want
+    # each summand lets its levels go once its column is done
+    assert all(not info.module._levels for info in cls.summands)
+
+
+def test_a_full_run_builds_each_summand_level_once(monkeypatch):
+    # classify_mcm builds each summand's levels through the bound, and the
+    # Hom table reuses them, adding the degrees below 0 and one above the
+    # bound.  No (presentation, degree) level is built twice in the run:
+    # the syzygy module's levels, let go after the cut, are not rebuilt
+    builds = Counter()
+    level = GradedModule.level
+
+    def counted(self, n):
+        if n not in self._levels:
+            builds[(self.presentation, n)] += 1
+        return level(self, n)
+
+    kept = []
+    classify = pipeline.classify_mcm
+
+    def keep(*args):
+        kept.append(classify(*args))
+        return kept[-1]
+
+    monkeypatch.setattr(GradedModule, "level", counted)
+    monkeypatch.setattr(pipeline, "classify_mcm", keep)
+    report = run_pipeline(parse_file(str(ROOT / "bench/corpus/skew4.pres")),
+                          degree=4, seed=0)
+    assert [s.status for s in report.stages] == ["ok"] * 13
+    summands = [info.presentation for info in kept[0].summands]
+    assert len(set(summands)) == 8
+    for p in summands:
+        assert {n: k for (q, n), k in builds.items() if q == p} == \
+            {n: 1 for n in range(-3, 6)}
+    assert set(builds.values()) == {1}
 
 
 def two_summand_modules(ctx):
@@ -430,7 +486,7 @@ def test_preresolution_with_a_decomposable_summand_is_not_semisimple(
     cyclic = GradedModule(algebra, ModulePresentation((0,), ((1, x),)))
     summand = direct_sum([cyclic, free_module(algebra)])
     assert end_algebra_of(summand).algebra.radical().dim == 1
-    table = preresolution_table([summand.presentation], algebra, 4)
+    table = preresolution_table([summand], algebra, 4)
     assert table.diagonal_dims == (3,)
     assert not table.diagonal_semisimple
     assert not table.gldim_le_1

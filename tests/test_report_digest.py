@@ -31,15 +31,18 @@ def test_input_reports_match_the_pinned_digests():
     # bench/corpus/comm4.pres in full at degree 6,
     # seed 0, the one run that takes the rank-2 summand path;
     # bench/corpus/skew3.pres at degree 12, seed 0, the deep Hom table over
-    # an extension field; and bench/corpus/skew4.pres at degree 6, seed 0,
-    # with 8 summands, a 9 x 9 Hom table and End(M) = Q(i)^8.  A change
-    # that alters a report on purpose regenerates the file with the same
-    # command per input
+    # an extension field; inputs/quadric3.pres at degree 12, seed 0, the
+    # other input of the g3-deep bench workload, with a 5 x 5 Hom table
+    # over Q(i) from degree -3 to 12; and bench/corpus/skew4.pres at degree
+    # 6, seed 0, with 8 summands, a 9 x 9 Hom table and End(M) = Q(i)^8.
+    # A change that alters a report on purpose regenerates the file with
+    # the same command per input
     pinned = (ROOT / "tests" / "report_digests.txt").read_text().splitlines()
     runs = [(f"inputs/{path.name}", "6", ["0", "1"])
             for path in sorted((ROOT / "inputs").glob("*.pres"))]
     runs.append(("bench/corpus/comm4.pres", "6", ["0"]))
     runs.append(("bench/corpus/skew3.pres", "12", ["0"]))
+    runs.append(("inputs/quadric3.pres", "12", ["0"]))
     runs.append(("bench/corpus/skew4.pres", "6", ["0"]))
     got = []
     for path, degree, seeds in runs:

@@ -3,7 +3,8 @@
 Matrices are seeded at 2-15% nonzeros over Q, Q(i) and Q[t]/(t^3-2), with
 empty, zero and full-rank cases beside them.  The reduced row echelon form
 of a row space is unique, so rref rows and pivots, kernel, solve, inverse
-and subspace reduction must all equal the reference exactly.
+and subspace reduction must all equal the reference exactly.  The rank,
+which eliminates forward only, must count the rref pivots.
 """
 
 import random
@@ -83,6 +84,30 @@ def test_rref_and_kernel_match_dense_reference(case):
     assert red.rows == want_rows
     assert mat.rank() == len(want_pivots)
     assert mat.kernel().rows == dense_kernel(field, rows, ncols)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cases)
+def test_rank_by_forward_elimination_counts_the_rref_pivots(case):
+    # rank eliminates forward only, on a matrix whose rref is not cached,
+    # and leaves the rows of the matrix as they were
+    field, _, rows, ncols, _ = build(case)
+    mat = Matrix(field, rows, ncols=ncols)
+    before = [dict(r) for r in mat.sparse]
+    rank = mat.rank()
+    assert mat.sparse == before
+    assert rank == len(Matrix(field, rows, ncols=ncols).rref()[1])
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_rank_reduces_a_filled_in_pivot_column(name):
+    # row 2 reduced by row 0 fills in column 1, the pivot of row 1, so the
+    # reduction must go on in column order; row 3 is then dependent
+    field = FIELDS[name]
+    rows = [[1, 1, 0, 0], [0, 1, 0, -1], [-1, 0, -1, 1], [1, 0, 0, 1]]
+    assert Matrix(field, rows, ncols=4).rank() == 3
+    assert Matrix(field, rows[:3], ncols=4).rank() == 3
+    assert len(Matrix(field, rows, ncols=4).rref()[1]) == 3
 
 
 @settings(max_examples=60, deadline=None)
