@@ -14,6 +14,7 @@ two outputs; stdlib only, so it also runs where pytest is not installed:
 
     python3 scripts/report_digest.py > before.txt
     python3 scripts/report_digest.py --input inputs/node.pres --degree 4 --seeds 0
+    python3 scripts/report_digest.py --input bench/corpus/comm4.pres --stage verdict
 """
 
 import argparse
@@ -72,11 +73,14 @@ def main():
                          "(default: the whole digest set)")
     ap.add_argument("--degree", type=int, default=6)
     ap.add_argument("--seeds", type=int, nargs="+", default=[0])
+    ap.add_argument("--stage", default=None,
+                    help="with --input, stop after this stage "
+                         "(default: the full run)")
     args = ap.parse_args()
 
     os.chdir(ROOT)
     if args.input:
-        runs = [(args.input, args.degree, None, args.seeds)]
+        runs = [(args.input, args.degree, args.stage, args.seeds)]
     else:
         runs = default_runs()
     for path, degree, stage, seeds in runs:

@@ -4,12 +4,12 @@ module decomposition, and pre-resolution structure, all in exact arithmetic.
 
 from .errors import (AdditivityViolated, AlgebraError, AmbientMismatch,
                      ContainmentViolated, DivisionByZero, FieldMismatch,
-                     NonSplit, NoStableCentral, NotCentral, NotIsolated,
+                     NonSplit, NoStableCentral, NotCentral,
                      NotRegularCertificate, NotSemisimple, ParseError,
                      RelationDependence, UnsupportedDimension)
 from .fields import Field, FieldElement, Polynomial, parse_field_spec, \
     roots_in_field
-from .findim import FiniteDimAlgebra, IdempotentSet, SmallRng
+from .findim import FiniteDimAlgebra, SmallRng
 from .hypersurface import (HypersurfaceContext, build_context,
                            dimension_identities, end_algebra,
                            koszul_component, stable_dual_algebra,
@@ -33,8 +33,8 @@ __all__ = [
     "AdditivityViolated", "AlgebraError", "AmbientMismatch",
     "ContainmentViolated", "DivisionByZero", "Field", "FieldElement",
     "FieldMismatch", "FiniteDimAlgebra", "GradedModule", "HypersurfaceContext",
-    "IdempotentSet", "Matrix", "ModulePresentation", "NonSplit",
-    "NoStableCentral", "NotCentral", "NotIsolated", "NotRegularCertificate",
+    "Matrix", "ModulePresentation", "NonSplit",
+    "NoStableCentral", "NotCentral", "NotRegularCertificate",
     "NotSemisimple", "ParseError", "ParsedInput", "PipelineReport",
     "Polynomial", "QuadraticPresentation", "RelationDependence",
     "SmallRng", "StageReport", "Subspace", "UnsupportedDimension",

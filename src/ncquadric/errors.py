@@ -62,10 +62,6 @@ class NonSplit(AlgebraError):
         self.decided = decided
 
 
-class NotIsolated(AlgebraError):
-    """Operation requires the isolated-singularity verdict to hold."""
-
-
 class AdditivityViolated(AlgebraError):
     """Summand Hilbert functions failed to add up to the module's."""
 

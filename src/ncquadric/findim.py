@@ -12,12 +12,15 @@ block eAe (eA, as e is central), each piece a combination of the powers of
 one central element; then split each matrix block by a proper idempotent,
 the right unit of a left ideal, and split both halves again; the matrix
 size of a block is the number of its primitives.  Missing eigenvalues
-raise NonSplit with the partial decomposition.
+raise NonSplit with the partial decomposition.  The split is the one
+record of the algebra's decomposition: computed once per seed, it keeps
+the central blocks with their primitives, or the NonSplit, which every
+later call raises again; primitive_idempotents and block_structure both
+read it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .errors import AlgebraError, NonSplit, NotSemisimple
@@ -35,17 +38,9 @@ class SmallRng:
         self.state = (1103515245 * self.state + 12345) % (2 ** 31)
         return (self.state >> 16) % bound
 
-    def small_coeff(self, span=4):
-        # uniform-ish integer in [-span, span]
-        return self.next_int(2 * span + 1) - span
-
-
-@dataclass(frozen=True)
-class IdempotentSet:
-    idempotents: tuple
-
-    def __len__(self):
-        return len(self.idempotents)
+    def small_coeff(self):
+        # uniform-ish integer in [-4, 4]
+        return self.next_int(9) - 4
 
 
 def _combination(coeffs, rows):
@@ -59,7 +54,7 @@ def _combination(coeffs, rows):
 class FiniteDimAlgebra:
     """An algebra given by basis labels, structure constants, and a unit."""
 
-    def __init__(self, field, labels, structure, unit, check=True):
+    def __init__(self, field, labels, structure, unit):
         self.field = field
         self.labels = tuple(labels)
         n = self.dim = len(self.labels)
@@ -68,9 +63,8 @@ class FiniteDimAlgebra:
         self._unit = self._row(unit, "unit vector")
         self.unit = self._tuple(self._unit)
         self._radical = None
-        self._central = {}  # seed -> [(central primitive e, block eAe)]
-        if check:
-            self._verify_table()
+        self._splits = {}  # seed -> [(e, block eAe, primitives)] or NonSplit
+        self._verify_table()
 
     @classmethod
     def of_matrices(cls, field, labels, span, unit):
@@ -240,18 +234,29 @@ class FiniteDimAlgebra:
             self.field, self.dim,
             [self._mul(self._mul(e, {i: one}), e) for i in range(self.dim)])
 
-    def _blocks(self, seed):
-        """(e, eAe) for the orthogonal central idempotents e with simple
-        block centers.
+    def _split(self, seed):
+        """(e, eAe, primitives of eAe) for the orthogonal central
+        idempotents e with simple block centers, computed once per seed.
 
         Raises NonSplit when the ground field misses eigenvalues, carrying
-        the partial orthogonal decomposition found so far.  A split is
-        computed once per seed, together with each block eAe; a NonSplit
-        is not kept, so asking again raises it again.
+        the partial orthogonal decomposition found so far.  The NonSplit is
+        kept as the outcome of the seed, and a later call raises the same
+        exception again.
         """
-        done = self._central.get(seed)
+        done = self._splits.get(seed)
         if done is None:
-            done = self._central[seed] = self._split_center(seed)
+            rng = SmallRng(seed ^ 0x5DEECE)
+            done, prims = [], []
+            try:
+                for e, block in self._split_center(seed):
+                    found = self._split_block(e, block, rng, prims)
+                    done.append((e, block, found))
+                    prims += found
+            except NonSplit as exc:
+                done = exc
+            self._splits[seed] = done
+        if isinstance(done, NonSplit):
+            raise done
         return done
 
     def _split_center(self, seed):
@@ -321,7 +326,7 @@ class FiniteDimAlgebra:
             raise NotSemisimple(
                 "primitive idempotent decomposition requires a semisimple "
                 "algebra")
-        prims = [p for found in self._split_blocks(seed) for p in found]
+        prims = [p for _, _, found in self._split(seed) for p in found]
         total = {}
         for p in prims:
             if any(self._mul(p, q) != (p if p == q else {}) for q in prims):
@@ -329,17 +334,7 @@ class FiniteDimAlgebra:
             add_multiple(total, self.field.one, p)
         if total != self._unit:
             raise AlgebraError("idempotent family does not sum to the unit")
-        return IdempotentSet(tuple(map(self._tuple, prims)))
-
-    def _split_blocks(self, seed):
-        """The primitive idempotents of each central block, block by block."""
-        rng = SmallRng(seed ^ 0x5DEECE)
-        prims = []
-        out = []
-        for e, block in self._blocks(seed):
-            out.append(self._split_block(e, block, rng, prims))
-            prims.extend(out[-1])
-        return out
+        return tuple(map(self._tuple, prims))
 
     def _split_block(self, e, block, rng, partial):
         """Primitive idempotents summing to e, whose block eAe is simple.
@@ -419,4 +414,4 @@ class FiniteDimAlgebra:
         as primitive_idempotents does, so a division block has no size."""
         if not self.is_semisimple():
             raise NotSemisimple("block structure requires a semisimple algebra")
-        return tuple(sorted(map(len, self._split_blocks(seed))))
+        return tuple(sorted(len(found) for _, _, found in self._split(seed)))

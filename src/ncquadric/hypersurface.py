@@ -121,21 +121,20 @@ class DualRealization:
     algebra: FiniteDimAlgebra
 
 
-def stable_dual_algebra(ctx, half=None):
+def stable_dual_algebra(ctx):
     """The stable quotient category algebra via the quadratic dual.
 
     Inside the dual of A, find a central degree-2 element that multiplies
     bijectively through the stable range, then realize the degree-0 part of
-    the localization on the component of degree 2*half with product
+    the localization on the component of degree 2*half, half = (d + 1) // 2
+    (the least with 2*half >= d), with product
     a o b = (multiplication by pi^half)^(-1) (a b).
     """
     dual = ctx.quotient_dual
     field = dual.field
     one = field.one
     d = ctx.d
-    m = half if half is not None else (d + 1) // 2
-    if 2 * m < d:
-        raise ValueError("realization degree must satisfy 2*half >= d")
+    m = (d + 1) // 2
 
     def times(n, k, coords):
         """Rows b_i * a over the basis of degree n, for a of degree k."""
@@ -211,8 +210,9 @@ class IdentityCheck:
         return self.lhs == self.rhs
 
 
-def dimension_identities(ctx, end_result, module_zero_dim=None):
-    """The numeric identities tying the end algebra to the dual of S."""
+def dimension_identities(ctx, end_result):
+    """The numeric identities tying the end algebra to the dual of S and
+    to the module it acts on."""
     g = ctx.ambient.gdim
     sdual = ctx.ambient_dual
     total = sum(sdual.graded_dim(n) for n in range(g + 1))
@@ -224,8 +224,7 @@ def dimension_identities(ctx, end_result, module_zero_dim=None):
         checks.append(IdentityCheck(
             f"dim C_{n} = half dim ambient dual",
             koszul_component(ctx, n).dim, half))
-    if module_zero_dim is not None:
-        checks.append(IdentityCheck("dim M_0 = dim End",
-                                    module_zero_dim,
-                                    end_result.solution.dim))
+    checks.append(IdentityCheck("dim M_0 = dim End",
+                                end_result.module.graded_dim(0),
+                                end_result.solution.dim))
     return tuple(checks)

@@ -23,19 +23,20 @@ End(M_1 (+) ... (+) M_k (+) A)_0.
 
 Each module is built once per run.  A Hom source reads only its relation
 blocks, coerced once per module; a target reads its levels.  The free
-module A reads the algebra's own tables.  classify_mcm keeps each summand
-with its levels through the bound, and lets the syzygy module's levels go
-once the summands are cut (drop_levels keeps the dimensions that
-syzygy_shift_evidence reads); preresolution_table uses the kept summands
-as sources and targets, and lets each target's levels go once its column
-is done.
+module A reads the algebra's own tables.  classify_mcm is the last reader
+of the syzygy module M: it keeps M's Hilbert function through the bound
+in the classification, which is all syzygy_shift_evidence reads, and lets
+M's levels go once the summands are cut.  It keeps each summand with its
+levels through the bound; preresolution_table uses the kept summands as
+sources and targets, and lets each target's levels go once its column is
+done.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .errors import AdditivityViolated, AlgebraError, NotIsolated
+from .errors import AdditivityViolated, AlgebraError
 from .findim import FiniteDimAlgebra
 from .linalg import Matrix, Subspace, add_multiple, column_system, sparse_row
 from .quadratic import GradedPiece, generator_step, right_action, word_walk
@@ -57,18 +58,11 @@ class GradedModule:
         self.field = algebra.field
         self._levels = {}
         self._frontier = {}  # relation index -> (shift, translate blocks)
-        self._dims = {}  # degree -> (dim, relation span dim), once dropped
         self._blocks = None  # relation blocks as a Hom source
         for e, vec in presentation.relations:
-            if len(vec) != self._free_total(e):
+            if len(vec) != self._free_offsets(e)[1]:
                 raise ValueError(
                     f"relation row of degree {e} has the wrong length")
-
-    def _free_total(self, n):
-        total = 0
-        for d in self.presentation.generator_degrees:
-            total += self.algebra.graded_dim(n - d)
-        return total
 
     def _free_offsets(self, n):
         offsets = []
@@ -132,25 +126,16 @@ class GradedModule:
         return lvl
 
     def drop_levels(self):
-        """Let the built levels and translates go, keeping the two numbers
-        of each level that graded_dim and relation_span_dim read; a later
-        level or table is built again."""
-        for n, lvl in self._levels.items():
-            self._dims[n] = (lvl.dim, lvl.rel_space.dim)
+        """Let the built levels and translates go; a later level or table
+        is built again."""
         self._levels = {}
         self._frontier = {}
 
     def graded_dim(self, n):
-        dims = self._dims.get(n)
-        return self.level(n).dim if dims is None else dims[0]
+        return self.level(n).dim
 
     def hilbert(self, bound):
         return [self.graded_dim(n) for n in range(bound + 1)]
-
-    def relation_span_dim(self, n):
-        """Dimension of the submodule the relations generate, in degree n."""
-        dims = self._dims.get(n)
-        return self.level(n).rel_space.dim if dims is None else dims[1]
 
     def _source_blocks(self):
         """The relations as the source of a Hom system, built once.
@@ -335,9 +320,10 @@ def classify_mcm(parent, idempotent_matrices, algebra, bound):
     Idempotents act on degree-0 coordinates; each cuts out a summand in
     closed form (idempotent_summand), and the summand Hilbert functions
     must add up to the parent's through the bound.  Once every summand is
-    cut, the parent's levels go (drop_levels): later stages read only its
-    dimensions.  Each summand keeps its module, levels built through the
-    bound, for the Hom table (preresolution_table).
+    cut, the parent's levels go (drop_levels), and no later stage reads
+    the parent: its Hilbert function stays as ``parent_hilbert``.  Each
+    summand keeps its module, levels built through the bound, for the Hom
+    table (preresolution_table).
     """
     parent_h = tuple(parent.graded_dim(n) for n in range(bound + 1))
     cuts = [idempotent_summand(parent, mat) for mat in idempotent_matrices]
@@ -371,22 +357,22 @@ class SyzygyEvidence:
     notes: tuple
 
 
-def syzygy_shift_evidence(parent, classification, algebra, bound,
-                          isolated=True):
+def syzygy_shift_evidence(classification, algebra, bound):
     """Numeric evidence that the syzygy permutes the summands with a shift.
 
-    Compares dim of the first syzygy of the module against the module one
-    degree lower, and matches each summand annihilator u with the line
-    annihilated by u on the right.
+    Compares dim of the first syzygy of the module M against M one degree
+    lower, and matches each summand annihilator u with the line annihilated
+    by u on the right.  M is generated in degree 0 with no relations there,
+    so its first syzygy, the span of its relations in the free module on
+    M_0, has dimension dim M_0 * dim A_n - dim M_n in degree n; M's
+    Hilbert function is the classification's ``parent_hilbert``.
     """
-    if not isolated:
-        raise NotIsolated(
-            "syzygy evidence is only meaningful for the isolated case")
+    hilbert = classification.parent_hilbert
     rows = []
     dims_ok = True
     for n in range(1, bound + 1):
-        omega = parent.relation_span_dim(n)
-        prev = parent.graded_dim(n - 1)
+        omega = hilbert[0] * algebra.graded_dim(n) - hilbert[n]
+        prev = hilbert[n - 1]
         rows.append((n, omega, prev))
         if omega != prev:
             dims_ok = False

@@ -218,7 +218,7 @@ def _run_stages(report, parsed, degree, seed, skip_qp_check, stop_after):
     adual = ctx.quotient_dual
     sdual = ctx.ambient_dual
     g = ambient.gdim
-    numeric = koszul_numeric_check(ctx.quotient, degree, dual=adual)
+    numeric = koszul_numeric_check(ctx.quotient, degree)
     sdual_h = [sdual.graded_dim(n) for n in range(g + 2)]
     total = sum(sdual_h)
     data = {"quotient dual hilbert": adual.hilbert(degree),
@@ -254,8 +254,7 @@ def _run_stages(report, parsed, degree, seed, skip_qp_check, stop_after):
     # end-algebra ------------------------------------------------------------
     end = end_algebra(ctx)
     module = end.module
-    idents = dimension_identities(ctx, end,
-                                  module_zero_dim=module.graded_dim(0))
+    idents = dimension_identities(ctx, end)
     idents_ok = all(c.ok for c in idents)
     data = {"dim end algebra": end.solution.dim,
             "module hilbert": module.hilbert(degree),
@@ -282,8 +281,8 @@ def _run_stages(report, parsed, degree, seed, skip_qp_check, stop_after):
         proceed = add("idempotents", "skipped", skip_reason)
     else:
         try:
-            idset = end.algebra.primitive_idempotents(seed=seed)
-            idem_mats = [end.matrix(coords) for coords in idset.idempotents]
+            idem_mats = [end.matrix(coords) for coords in
+                         end.algebra.primitive_idempotents(seed=seed)]
             proceed = add("idempotents", "ok", "",
                           **{"count": len(idem_mats),
                              "idempotent matrices":
@@ -330,8 +329,8 @@ def _run_stages(report, parsed, degree, seed, skip_qp_check, stop_after):
     if classification is None:
         proceed = add("syzygy-shift", "skipped", skip_reason)
     else:
-        evidence = syzygy_shift_evidence(module, classification,
-                                         ctx.quotient, degree)
+        evidence = syzygy_shift_evidence(classification, ctx.quotient,
+                                         degree)
         ev_ok = evidence.dims_ok and evidence.permutation_ok
         data = {"syzygy dims": [r[1] for r in evidence.rows],
                 "module dims shifted": [r[2] for r in evidence.rows],

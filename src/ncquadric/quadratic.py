@@ -374,10 +374,9 @@ def is_regular_deg2(presentation, w, bound):
     return RegularityCertificate(passed, tuple(rows), first, quotient)
 
 
-def koszul_numeric_check(presentation, bound, dual=None):
+def koszul_numeric_check(presentation, bound):
     """Coefficientwise check of H_A(t) * H_dual(-t) = 1 up to t^bound."""
-    if dual is None:
-        dual = presentation.quadratic_dual()
+    dual = presentation.quadratic_dual()
     coeffs = []
     passed = True
     first = None
@@ -408,7 +407,7 @@ def quantum_polynomial_certificate(presentation, bound):
     dual = presentation.quadratic_dual()
     dual_h = tuple(dual.graded_dim(n) for n in range(g + 2))
     expected_dual = tuple(comb(g, n) for n in range(g + 2))
-    numeric = koszul_numeric_check(presentation, bound, dual=dual)
+    numeric = koszul_numeric_check(presentation, bound)
     failures = []
     if hilbert != expected:
         failures.append("hilbert function differs from the polynomial one")

@@ -101,7 +101,7 @@ def load_context(path, bound):
 def idempotent_matrices(end, seed=0):
     """The primitive idempotents of End(M) as m x m matrices."""
     return [end.matrix(coords) for coords in
-            end.algebra.primitive_idempotents(seed=seed).idempotents]
+            end.algebra.primitive_idempotents(seed=seed)]
 
 
 def module_graded_dim(presentation, algebra, n):
@@ -328,8 +328,8 @@ def is_subspace_of(sub, other):
 
 def central_primitive_idempotents(alg, seed=0):
     """The orthogonal central idempotents of alg with simple block centers,
-    as dense tuples; raises NonSplit as the central split does."""
-    return [alg._tuple(e) for e, _ in alg._blocks(seed)]
+    as dense tuples; raises NonSplit as the split does."""
+    return [alg._tuple(e) for e, _, _ in alg._split(seed)]
 
 
 def _mult_matrix(alg, times):

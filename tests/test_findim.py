@@ -100,11 +100,11 @@ def test_matrix_algebra_semisimple(Q):
     idems = m2.primitive_idempotents(seed=0)
     assert len(idems) == 2
     total = (Q.zero,) * m2.dim
-    for e in idems.idempotents:
+    for e in idems:
         assert m2.multiply(e, e) == e
         total = tuple(x + y for x, y in zip(total, e))
     assert total == m2.unit
-    a, b = idems.idempotents
+    a, b = idems
     assert not any(m2.multiply(a, b))
     assert not any(m2.multiply(b, a))
     assert m2.block_structure(seed=0) == (2,)
@@ -156,7 +156,7 @@ def test_undecided_split_is_not_reported_as_nonsplit(Q, monkeypatch):
 @pytest.mark.parametrize("field", ("Q", "Qi"))
 def test_full_matrix_algebras_split(field, n, seed, request):
     alg = matrix_algebra(request.getfixturevalue(field), n)
-    idems = alg.primitive_idempotents(seed=seed).idempotents
+    idems = alg.primitive_idempotents(seed=seed)
     assert len(idems) == n
     for e in idems:
         assert alg._block_subspace(alg._row(e, "idempotent")).dim == 1
@@ -213,7 +213,7 @@ def test_square_root_of_minus_one_over_the_eighth_cyclotomic_field():
     z, one = F.zero, F.one
     structure = (((one, z), (z, one)), ((z, one), (-one, z)))
     alg = FiniteDimAlgebra(F, ("1", "u"), structure, (one, z))
-    ids = alg.primitive_idempotents(seed=0).idempotents
+    ids = alg.primitive_idempotents(seed=0)
     t2 = F.generator() ** 2
     half = F.from_rational(Fraction(1, 2))
     assert sorted(ids, key=lambda v: v[1].coords) == [
@@ -375,10 +375,58 @@ def test_central_split_matches_the_two_sided_horner_route(
              (matrix_times_rationals(Q), 2)]
     for alg, count in cases:
         want = reference_central_split(alg, seed)
-        got = alg._blocks(seed)
+        got = alg._split(seed)
         assert len(got) == len(want) == count
-        for (e, block), (e_ref, block_ref) in zip(got, want):
+        for (e, block, _), (e_ref, block_ref) in zip(got, want):
             assert e == e_ref
             assert block == block_ref
         assert central_primitive_idempotents(alg, seed) == [
             alg._tuple(e) for e, _ in want]
+
+
+def counting_min_poly(monkeypatch):
+    """Patch FiniteDimAlgebra.min_poly to record each call; returns the
+    list of calls."""
+    real = FiniteDimAlgebra.min_poly
+    calls = []
+
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteDimAlgebra, "min_poly", counting)
+    return calls
+
+
+@pytest.mark.parametrize("first", ("primitive_idempotents",
+                                   "block_structure"))
+def test_the_split_is_made_once_per_seed(first, Q, monkeypatch):
+    # M_2(Q) x Q splits its center, then its matrix block; either reader
+    # makes the split, and the other reads it without a min poly
+    alg = matrix_times_rationals(Q)
+    getattr(alg, first)(seed=2)
+    calls = counting_min_poly(monkeypatch)
+    assert len(alg.primitive_idempotents(seed=2)) == 3
+    assert alg.block_structure(seed=2) == (1, 2)
+    assert calls == []
+    # another seed is another split
+    assert alg.block_structure(seed=3) == (1, 2)
+    assert calls
+
+
+@pytest.mark.parametrize("make", (gaussian_as_rational_algebra, quaternions))
+def test_a_nonsplit_is_raised_again_unchanged(make, Q, monkeypatch):
+    # Q(i) over Q misses a central root; the quaternions over Q leave a
+    # block undecided.  Both outcomes are kept and raised again as they are
+    alg = make(Q)
+    with pytest.raises(NonSplit) as first:
+        alg.primitive_idempotents(seed=0)
+    calls = counting_min_poly(monkeypatch)
+    for again in (alg.primitive_idempotents, alg.block_structure):
+        with pytest.raises(NonSplit) as second:
+            again(seed=0)
+        assert str(second.value) == str(first.value)
+        assert second.value.factor == first.value.factor
+        assert second.value.partial == first.value.partial
+        assert second.value.decided == first.value.decided
+    assert calls == []

@@ -52,7 +52,7 @@ def reference_hom_space(P, Q, n):
 def idempotent_matrices(ctx):
     end = end_algebra(ctx)
     mats = []
-    for coords in end.algebra.primitive_idempotents(seed=0).idempotents:
+    for coords in end.algebra.primitive_idempotents(seed=0):
         mat = None
         for c, bm in zip(coords, end.basis_matrices):
             term = bm.scale(c)

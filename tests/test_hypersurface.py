@@ -153,8 +153,7 @@ def test_end_algebra_small_cases(node_ctx, cusp_ctx):
 
 
 def test_dimension_identities(golden_ctx, golden_end):
-    checks = dimension_identities(golden_ctx, golden_end,
-                                  module_zero_dim=4)
+    checks = dimension_identities(golden_ctx, golden_end)
     assert all(c.ok for c in checks)
     by_label = {c.label: (c.lhs, c.rhs) for c in checks}
     assert by_label["dim End = half dim ambient dual"] == (4, 4)

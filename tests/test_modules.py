@@ -13,8 +13,8 @@ from helpers import (class_coords, flatten_matrix, gauss, idempotent_matrices,
                      rows_pairs, vec_pairs)
 
 from ncquadric import (AdditivityViolated, AlgebraError, GradedModule,
-                       Matrix, ModulePresentation, NotIsolated,
-                       SmallRng, Subspace, classify_mcm, direct_sum,
+                       Matrix, ModulePresentation, SmallRng, Subspace,
+                       classify_mcm, direct_sum,
                        end_algebra, end_algebra_of, free_module,
                        hom_graded, hom_space, identify_cyclic_quotient,
                        idempotent_summand, linear_string, parse_file,
@@ -28,7 +28,7 @@ ANNIHILATORS = {"y+i*z", "y-i*z", "x+z", "x-z"}
 def golden_idem_matrices(golden_end):
     idems = golden_end.algebra.primitive_idempotents(seed=0)
     mats = []
-    for coords in idems.idempotents:
+    for coords in idems:
         mat = None
         for c, bm in zip(coords, golden_end.basis_matrices):
             term = bm.scale(c)
@@ -231,9 +231,8 @@ def test_cyclic_summands_have_the_dimensions_of_a_built_quotient(path):
         assert info.cyclic.quotient_dims == info.hilbert
 
 
-def test_syzygy_shift(golden_module, golden_classification, golden_ctx):
-    ev = syzygy_shift_evidence(golden_module, golden_classification,
-                               golden_ctx.quotient, 6)
+def test_syzygy_shift(golden_classification, golden_ctx):
+    ev = syzygy_shift_evidence(golden_classification, golden_ctx.quotient, 6)
     assert ev.dims_ok
     assert [r[1] for r in ev.rows] == [r[2] for r in ev.rows]
     assert ev.rows[0][1] == 4
@@ -241,18 +240,57 @@ def test_syzygy_shift(golden_module, golden_classification, golden_ctx):
     assert ev.permutation_ok
 
 
-def test_syzygy_shift_requires_isolated(golden_module,
-                                        golden_classification, golden_ctx):
-    with pytest.raises(NotIsolated):
-        syzygy_shift_evidence(golden_module, golden_classification,
-                              golden_ctx.quotient, 6, isolated=False)
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "inputs").glob("*.pres"))
+    + sorted((ROOT / "bench" / "corpus").glob("*.pres")),
+    ids=lambda p: p.name)
+def test_syzygy_rows_are_the_relation_spans_of_a_fresh_module(path):
+    # syzygy-shift reads M's Hilbert function off the classification and
+    # derives dim Omega(M)_n = dim M_0 * dim A_n - dim M_n; that must be the
+    # span of the relation translates of M, eliminated afresh.  The identity
+    # cuts M into one summand, so every input has a classification
+    ctx = load_context(path, bound=8)
+    pres = syzygy_presentation(ctx)
+    field = ctx.quotient.field
+    m = len(pres.generator_degrees)
+    ident = Matrix(field, [[field.one if i == j else field.zero
+                            for j in range(m)] for i in range(m)], ncols=m)
+    cls = classify_mcm(GradedModule(ctx.quotient, pres), [ident],
+                       ctx.quotient, 8)
+    ev = syzygy_shift_evidence(cls, ctx.quotient, 8)
+    fresh = GradedModule(ctx.quotient, pres)
+    assert [row[0] for row in ev.rows] == list(range(1, 9))
+    assert [row[1] for row in ev.rows] == [fresh.level(n).rel_space.dim
+                                           for n in range(1, 9)]
+    assert [row[2] for row in ev.rows] == fresh.hilbert(7)
+
+
+def test_no_stage_reads_the_module_after_its_classification(golden_parsed,
+                                                            monkeypatch):
+    # once classify_mcm has cut M, any read of M's levels fails the run
+    classify = pipeline.classify_mcm
+
+    def classify_then_seal(parent, *args):
+        cls = classify(parent, *args)
+
+        def sealed(n):
+            raise AssertionError(f"M_{n} read after mcm-classification")
+
+        parent.level = sealed
+        return cls
+
+    monkeypatch.setattr(pipeline, "classify_mcm", classify_then_seal)
+    report = run_pipeline(golden_parsed, degree=6, seed=0)
+    assert report.stage("syzygy-shift").status == "ok"
+    assert report.stage("preresolution").status == "ok"
+    assert report.exit_code == 0
 
 
 def test_node_classification(node_ctx):
     end = end_algebra(node_ctx)
     idems = end.algebra.primitive_idempotents(seed=0)
     mats = []
-    for coords in idems.idempotents:
+    for coords in idems:
         mat = None
         for c, bm in zip(coords, end.basis_matrices):
             term = bm.scale(c)
@@ -265,7 +303,7 @@ def test_node_classification(node_ctx):
     got = {linear_string(names, normalize_line(info.cyclic.element))
            for info in cls.summands}
     assert got == {"x+i*y", "x-i*y"}
-    ev = syzygy_shift_evidence(module, cls, node_ctx.quotient, 6)
+    ev = syzygy_shift_evidence(cls, node_ctx.quotient, 6)
     assert ev.permutation == (1, 0)
     assert ev.permutation_ok
 

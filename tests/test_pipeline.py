@@ -332,9 +332,11 @@ def test_ambient_dual_is_built_once(golden_parsed, monkeypatch):
 
 
 def test_center_is_split_once_per_algebra_and_seed(monkeypatch):
+    # End(M) and the dual algebra are split once each.  On skew4q, End(M)
+    # does not split over Q, and dual-crosscheck raises the kept NonSplit
+    # again instead of splitting End(M) a second time
     from pathlib import Path
 
-    from ncquadric import FiniteDimAlgebra
     from ncquadric.presentation import parse_file
 
     real = FiniteDimAlgebra._split_center
@@ -345,9 +347,13 @@ def test_center_is_split_once_per_algebra_and_seed(monkeypatch):
         return real(self, seed)
 
     monkeypatch.setattr(FiniteDimAlgebra, "_split_center", counting)
-    skew4 = Path(__file__).resolve().parent.parent / "bench" / "corpus" / \
-        "skew4.pres"
-    report = run_pipeline(parse_file(str(skew4)), degree=4, seed=3)
-    assert report.stage("dual-crosscheck").status == "ok"
-    assert splits
-    assert len(splits) == len(set(splits))
+    root = Path(__file__).resolve().parent.parent
+    for path, degree, seed in (("bench/corpus/skew4.pres", 4, 3),
+                               ("bench/corpus/skew4.pres", 6, 0),
+                               ("bench/corpus/skew4q.pres", 6, 0),
+                               ("inputs/quadric3.pres", 6, 0)):
+        splits.clear()
+        report = run_pipeline(parse_file(str(root / path)), degree=degree,
+                              seed=seed)
+        assert report.stage("dual-crosscheck").status == "ok"
+        assert len(splits) == len(set(splits)) == 2, path
