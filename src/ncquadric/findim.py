@@ -63,7 +63,8 @@ class FiniteDimAlgebra:
         self._unit = self._row(unit, "unit vector")
         self.unit = self._tuple(self._unit)
         self._radical = None
-        self._splits = {}  # seed -> [(e, block eAe, primitives)] or NonSplit
+        # seed -> [(e, block eAe, primitives)], or (NonSplit, traceback)
+        self._splits = {}
         self._verify_table()
 
     @classmethod
@@ -240,8 +241,9 @@ class FiniteDimAlgebra:
 
         Raises NonSplit when the ground field misses eigenvalues, carrying
         the partial orthogonal decomposition found so far.  The NonSplit is
-        kept as the outcome of the seed, and a later call raises the same
-        exception again.
+        kept as the outcome of the seed with its first traceback, and a
+        later call raises the same exception again from that traceback, so
+        the traceback does not grow from call to call.
         """
         done = self._splits.get(seed)
         if done is None:
@@ -253,10 +255,11 @@ class FiniteDimAlgebra:
                     done.append((e, block, found))
                     prims += found
             except NonSplit as exc:
-                done = exc
+                done = (exc, exc.__traceback__)
             self._splits[seed] = done
-        if isinstance(done, NonSplit):
-            raise done
+        if isinstance(done, tuple):
+            exc, first = done
+            raise exc.with_traceback(first)
         return done
 
     def _split_center(self, seed):

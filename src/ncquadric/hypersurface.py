@@ -91,16 +91,17 @@ def koszul_component(ctx, n):
 
 
 def syzygy_presentation(ctx):
-    """The d-th syzygy module of the trivial module, normalized to degree 0.
+    """The d-th syzygy module M = Omega^d(k)(d) of the trivial module.
 
-    Generators are the canonical basis of C_d; the relations are the basis
-    vectors of C_(d+1) written over C_d (x) V, placed in degree 1.
+    M is linear because A is Koszul: its generators are the canonical
+    basis of C_d, in degree 0, and its relations are the basis vectors of
+    C_(d+1) written over C_d (x) V, in degree 1, entry alpha*g + l the
+    coefficient of generator alpha times x_l.
     """
     trans = koszul_transition(ctx.quotient.relation_space, ctx.d,
                               ctx.quotient.gdim, ctx.koszul_cache)
     m = koszul_component(ctx, ctx.d).dim
-    return ModulePresentation((0,) * m,
-                              tuple((1, tuple(row)) for row in trans.rows))
+    return ModulePresentation(m, tuple(tuple(row) for row in trans.rows))
 
 
 def end_algebra(ctx):

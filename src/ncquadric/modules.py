@@ -1,24 +1,35 @@
-"""Finitely presented graded right modules over a quadratic algebra.
+"""Linear graded right modules over a quadratic algebra.
 
-A presentation lists generator degrees and relation vectors; a relation of
-degree e is a row over the concatenated blocks A_(e - d_alpha), one block
-per generator.  The degree-n piece M_n is the cokernel of the span of the
-relation translates r.w, w a normal word of A_(n-e).  Normal words grow one
-letter at a time (w = w'x_l, as in QuadraticPresentation._build_component),
-so each translate is one generator step from a translate a degree lower;
-only the latest shift of each relation is kept, and the translates go to
-the elimination as sparse rows.  M_n is a GradedPiece, the piece type of
-A_n, with sparse generator tables in the same format, and the action of
-the algebra runs through the table step, word walk and right action that
-the algebra itself uses (quadratic.py).  On top of that sit the operations
-the hypersurface pipeline needs: graded Hom spaces, built once as sparse
-right_action rows per unknown (_hom_system) and read two ways, the maps as
-the kernel of their transpose (hom_space) and the dimension as the
-unknowns less their rank (hom_graded); the summand e.M of an idempotent
-endomorphism, presented in closed form from the relations of M;
-recognition of cyclic quotients A/xA; direct sums; and the one builder of
-a degree-zero endomorphism algebra, end_algebra_of, which serves both
-End(M) (hypersurface.end_algebra) and the pre-resolution algebra
+Every module here is linear: generated in degree 0 with relations in
+degree 1.  A presentation is a rank and a tuple of relation rows over
+(generators) (x) V, entry alpha*g + l the coefficient of g_alpha x_l
+(g = dim V).  The degree-n piece M_n is k^rank (x) A_n, one block of
+dim A_n columns per generator, modulo the span of the relation translates
+r.w, w a normal word of A_(n-1).  That shape is enough for the pipeline:
+the syzygy module M = Omega^d(k)(d), presented by C_d with relations
+C_(d+1), is linear because A is Koszul, and so are its summands e.M, the
+modules A/xA and A, and their direct sums.  A shift needs no generators in
+other degrees either, since it is the degree argument of Hom:
+Hom_n(P, Q) = Hom_0(P, Q(n)).  So the first syzygy of a linear module N,
+generated in degree 1, is the linear Omega(N)(1), and Omega(N) = N'(-1)
+asks for degree-0 maps between linear modules.
+
+Normal words grow one letter at a time (w = w'x_l, as in
+QuadraticPresentation._build_component), so each translate is one
+generator step from a translate a degree lower; only the latest shift of
+each relation is kept, and the translates go to the elimination as sparse
+rows.  M_n is a GradedPiece, the piece type of A_n, with sparse generator
+tables in the same format, and the action of the algebra runs through the
+table step, word walk and right action that the algebra itself uses
+(quadratic.py).  On top of that sit the operations the hypersurface
+pipeline needs: graded Hom spaces, built once as sparse right_action rows
+per unknown (_hom_system) and read two ways, the maps as the kernel of
+their transpose (hom_space) and the dimension as the unknowns less their
+rank (hom_graded); the summand e.M of an idempotent endomorphism,
+presented in closed form from the relations of M; recognition of cyclic
+quotients A/xA; direct sums; and the one builder of a degree-zero
+endomorphism algebra, end_algebra_of, which serves both End(M)
+(hypersurface.end_algebra) and the pre-resolution algebra
 End(M_1 (+) ... (+) M_k (+) A)_0.
 
 Each module is built once per run.  A Hom source reads only its relation
@@ -44,9 +55,9 @@ from .quadratic import GradedPiece, generator_step, right_action, word_walk
 
 @dataclass(frozen=True)
 class ModulePresentation:
-    generator_degrees: tuple
-    relations: tuple  # pairs (degree, coefficient row)
-    # row shapes are validated by GradedModule against a concrete algebra
+    rank: int  # generators, all in degree 0
+    relations: tuple  # degree-1 rows, entry alpha*g + l at g_alpha x_l
+    # row lengths are validated by GradedModule against a concrete algebra
 
 
 class GradedModule:
@@ -59,43 +70,31 @@ class GradedModule:
         self._levels = {}
         self._frontier = {}  # relation index -> (shift, translate blocks)
         self._blocks = None  # relation blocks as a Hom source
-        for e, vec in presentation.relations:
-            if len(vec) != self._free_offsets(e)[1]:
-                raise ValueError(
-                    f"relation row of degree {e} has the wrong length")
-
-    def _free_offsets(self, n):
-        offsets = []
-        pos = 0
-        for d in self.presentation.generator_degrees:
-            b = self.algebra.graded_dim(n - d)
-            offsets.append((pos, b))
-            pos += b
-        return offsets, pos
+        for vec in presentation.relations:
+            if len(vec) != presentation.rank * algebra.gdim:
+                raise ValueError("relation row has the wrong length")
 
     def _translates(self, idx, shift):
         """Blocks of r.w for relation idx and each normal word w of A_shift.
 
         One entry per word, in basis order; each entry holds one sparse
-        class per generator block.  The last shift asked for is kept, and
-        a lower shift starts over from the relation itself.
+        class in A_(shift+1) per generator.  The last shift asked for is
+        kept, and a lower shift starts over from the relation itself.
         """
-        e, vec = self.presentation.relations[idx]
-        have = self._frontier.get(idx)
-        if have is None or have[0] > shift:
-            src_offsets, _ = self._free_offsets(e)
-            have = (0, [tuple(tuple(sparse_row(self.field,
-                                               vec[s:s + b]).items())
-                              for s, b in src_offsets)])
-        s, rows = have
         alg = self.algebra
         g = alg.gdim
-        degs = [e - d for d in self.presentation.generator_degrees]
+        have = self._frontier.get(idx)
+        if have is None or have[0] > shift:
+            vec = self.presentation.relations[idx]
+            have = (0, [tuple(tuple(sparse_row(self.field,
+                                               vec[a * g:(a + 1) * g]).items())
+                              for a in range(self.presentation.rank))])
+        s, rows = have
         while s < shift:
             # block times x_l, read off the algebra's table of its degree
-            rows = [tuple(generator_step(alg.tables(deg + s)[c % g], blk)
-                          if blk else ()
-                          for blk, deg in zip(rows[c // g], degs))
+            table = alg.tables(s + 1)
+            rows = [tuple(generator_step(table[c % g], blk) if blk else ()
+                          for blk in rows[c // g])
                     for c in alg.component(s + 1).free_cols]
             s += 1
         self._frontier[idx] = (s, rows)
@@ -104,24 +103,25 @@ class GradedModule:
     def level(self, n):
         """M_n: the relation translates of degree n and their cokernel.
 
-        The translates of a relation come from its frontier, one generator
-        step per block and degree (see _translates); the rows handed to the
-        elimination are the products r.w in relation order, then word order.
+        Column alpha*dim A_n + k is basis vector k of A_n in the block of
+        generator alpha.  The translates of a relation come from its
+        frontier, one generator step per block and degree (see
+        _translates); the rows handed to the elimination are the products
+        r.w in relation order, then word order.
         """
         lvl = self._levels.get(n)
         if lvl is not None:
             return lvl
-        offsets, total = self._free_offsets(n)
+        size = self.algebra.graded_dim(n)
         vectors = []
-        for idx, (e, _) in enumerate(self.presentation.relations):
-            if e > n:
-                continue
-            for blocks in self._translates(idx, n - e):
-                vectors.append({start + k: c
-                                for (start, _), block in zip(offsets, blocks)
-                                for k, c in block})
-        lvl = GradedPiece(Subspace._span_sparse(self.field, total, vectors),
-                          offsets)
+        if n >= 1:
+            for idx in range(len(self.presentation.relations)):
+                for blocks in self._translates(idx, n - 1):
+                    vectors.append({alpha * size + k: c
+                                    for alpha, block in enumerate(blocks)
+                                    for k, c in block})
+        lvl = GradedPiece(Subspace._span_sparse(
+            self.field, self.presentation.rank * size, vectors))
         self._levels[n] = lvl
         return lvl
 
@@ -140,26 +140,23 @@ class GradedModule:
     def _source_blocks(self):
         """The relations as the source of a Hom system, built once.
 
-        One (degree, blocks) pair per relation, where blocks lists, for
-        each generator alpha whose block is nonzero, (alpha, terms): the
-        (normal word, coefficient) pairs of the block, as right_action
-        takes them.
+        One tuple per relation of (alpha, terms) for each generator alpha
+        whose block is nonzero: the (degree-1 word, coefficient) pairs of
+        the block, as right_action takes them.
         """
         if self._blocks is None:
-            alg = self.algebra
-            degrees = self.presentation.generator_degrees
+            g = self.algebra.gdim
+            words = self.algebra.basis_words(1)
             out = []
-            for e, vec in self.presentation.relations:
+            for vec in self.presentation.relations:
                 blocks = []
-                offsets, _ = self._free_offsets(e)
-                for alpha, ((start, b), d) in enumerate(zip(offsets,
-                                                            degrees)):
-                    coeffs = sparse_row(self.field, vec[start:start + b])
+                for alpha in range(self.presentation.rank):
+                    coeffs = sparse_row(self.field,
+                                        vec[alpha * g:(alpha + 1) * g])
                     if coeffs:
-                        words = alg.basis_words(e - d)
-                        blocks.append((alpha, [(words[j], c)
-                                               for j, c in coeffs.items()]))
-                out.append((e, tuple(blocks)))
+                        blocks.append((alpha, [(words[l], c)
+                                               for l, c in coeffs.items()]))
+                out.append(tuple(blocks))
             self._blocks = tuple(out)
         return self._blocks
 
@@ -174,18 +171,14 @@ class GradedModule:
         elif lvl.gen_mult is None:
             nxt = self.level(n + 1)
             alg = self.algebra
-            degs = self.presentation.generator_degrees
+            size, up = alg.graded_dim(n), alg.graded_dim(n + 1)
             tables = []
             for l in range(alg.gdim):
                 rows = []
                 for pos in lvl.free_cols:
-                    for alpha, (start, b) in enumerate(lvl.offsets):
-                        if pos < start + b:  # the block that holds pos
-                            break
-                    nstart = nxt.offsets[alpha][0]
+                    alpha, k = divmod(pos, size)
                     rows.append(nxt.sparse_class(
-                        {nstart + k: c for k, c in
-                         alg.tables(n - degs[alpha])[l][pos - start]}))
+                        {alpha * up + t: c for t, c in alg.tables(n)[l][k]}))
                 tables.append(tuple(rows))
             lvl.gen_mult = tuple(tables)
         return lvl.gen_mult
@@ -201,7 +194,7 @@ class GradedModule:
                          self.field.zero)
 
 
-FREE = ModulePresentation((0,), ())
+FREE = ModulePresentation(1, ())
 
 
 def free_module(algebra):
@@ -215,85 +208,66 @@ def free_module(algebra):
 def idempotent_summand(parent, idempotent):
     """Present the summand e.M cut out by an idempotent endomorphism.
 
-    The parent must be generated in degree 0, and the idempotent is a
-    square matrix E over its generators, column alpha the image of
-    generator alpha.  E (x) 1 is an idempotent of the free module that
-    keeps the relation module K, so e.M = E.F / E.K: it is generated by the
-    rref basis of im(E), and its relations span the E.r for the relations
-    r of the parent, degree by degree.  E.r lies in im(E) (x) A, so its
-    coordinate at a basis vector of im(E) is its block at that vector's
-    pivot.  Returns the image and the presentation; raises AlgebraError if
-    E is not idempotent or does not keep the relations.
+    The idempotent is a square matrix E over the generators of the parent,
+    column alpha the image of generator alpha.  E (x) 1 is an idempotent
+    of the free module that keeps the relation module K, so
+    e.M = E.F / E.K: it is generated by the rref basis of im(E), and its
+    relations span the E.r for the relations r of the parent.  E.r lies in
+    im(E) (x) V, so its coordinate at a basis vector of im(E) is its block
+    at that vector's pivot.  Returns the image and the presentation;
+    raises AlgebraError if E is not idempotent or does not keep the
+    relations.
     """
-    if any(d != 0 for d in parent.presentation.generator_degrees):
-        raise ValueError("idempotent cuts need a degree-0 generated module")
     field = parent.field
     if idempotent * idempotent != idempotent:
         raise AlgebraError("the matrix is not idempotent")
     columns = idempotent.transpose().sparse
     image = Subspace._span_sparse(field, idempotent.nrows, columns)
-    cuts = {}  # degree -> the E.r of that degree over im(E) (x) A_e
-    for e, vec in parent.presentation.relations:
-        size = parent.algebra.graded_dim(e)
-        moved = {}  # E.r: entry k of block alpha goes to block beta
+    g = parent.algebra.gdim
+    cuts = []  # the E.r over im(E) (x) V
+    for vec in parent.presentation.relations:
+        moved = {}  # E.r: entry l of block alpha goes to block beta
         for q, c in sparse_row(field, vec).items():
-            alpha, k = divmod(q, size)
-            add_multiple(moved, c, {beta * size + k: x
+            alpha, l = divmod(q, g)
+            add_multiple(moved, c, {beta * g + l: x
                                     for beta, x in columns[alpha].items()})
-        cuts.setdefault(e, []).append(
-            {beta * size + k: moved[p * size + k]
-             for beta, p in enumerate(image.pivots) for k in range(size)
-             if p * size + k in moved})
-        parent.level(e).rel_space.reduce_sparse(moved)
+        cuts.append({beta * g + l: moved[p * g + l]
+                     for beta, p in enumerate(image.pivots) for l in range(g)
+                     if p * g + l in moved})
+        parent.level(1).rel_space.reduce_sparse(moved)
         if moved:
             raise AlgebraError(
                 "the idempotent is not an endomorphism of the module")
-    # one basis of the E.r per degree: E sends many relations to the same
-    # line, and each relation kept costs a translate set per level
-    relations = tuple(
-        (e, row) for e, rows in cuts.items()
-        for row in Subspace._span_sparse(
-            field, image.dim * parent.algebra.graded_dim(e), rows).basis)
-    return image, ModulePresentation((0,) * image.dim, relations)
+    # one basis of the E.r: E sends many relations to the same line, and
+    # each relation kept costs a translate set per level
+    relations = tuple(Subspace._span_sparse(field, image.dim * g,
+                                            cuts).basis)
+    return image, ModulePresentation(image.dim, relations)
 
 
 @dataclass(frozen=True)
 class CyclicMatch:
     element: object  # coordinate tuple over A_1 or None
-    summand_dims: tuple
-    quotient_dims: tuple
     matched: bool
     reason: str = ""
 
 
-def identify_cyclic_quotient(summand, bound):
-    """Try to recognize a module (a GradedModule, its levels reused) as
-    A/xA for a degree-1 element x.
+def identify_cyclic_quotient(summand):
+    """Try to recognize a module as A/xA for a degree-1 element x.
 
-    When every relation has degree 1 they span the line of x, so the
-    module is A/xA as presented; A/xA is built and its dimensions compared
-    only when some relation has another degree.
+    A module on one generator whose relations span the line of x is A/xA
+    as presented, its Hilbert function the quotient's.
     """
     algebra = summand.algebra
-    dims = tuple(summand.graded_dim(n) for n in range(bound + 1))
-    if summand.presentation.generator_degrees != (0,):
-        return CyclicMatch(None, dims, (), False, "not generated by one "
-                           "degree-0 element")
-    deg1 = [vec for e, vec in summand.presentation.relations if e == 1]
+    if summand.presentation.rank != 1:
+        return CyclicMatch(None, False, "not generated by one degree-0 "
+                           "element")
     ann = Subspace.span(algebra.field, algebra.gdim,
-                        [list(v) for v in deg1])
+                        [list(v) for v in summand.presentation.relations])
     if ann.dim != 1:
-        return CyclicMatch(None, dims, (), False,
+        return CyclicMatch(None, False,
                            f"degree-1 annihilator has dimension {ann.dim}")
-    x = tuple(ann.basis[0])
-    if len(deg1) == len(summand.presentation.relations):
-        return CyclicMatch(x, dims, dims, True)
-    quotient = GradedModule(algebra, ModulePresentation((0,), ((1, x),)))
-    qdims = tuple(quotient.graded_dim(n) for n in range(bound + 1))
-    if dims != qdims:
-        return CyclicMatch(x, dims, qdims, False,
-                           "graded dimensions differ from A/xA")
-    return CyclicMatch(x, dims, qdims, True)
+    return CyclicMatch(tuple(ann.basis[0]), True)
 
 
 @dataclass(frozen=True)
@@ -335,8 +309,7 @@ def classify_mcm(parent, idempotent_matrices, algebra, bound):
         h = tuple(summand.graded_dim(n) for n in range(bound + 1))
         total = [t + x for t, x in zip(total, h)]
         infos.append(SummandInfo(idx, image.basis, pres, h,
-                                 identify_cyclic_quotient(summand, bound),
-                                 summand))
+                                 identify_cyclic_quotient(summand), summand))
     if tuple(total) != parent_h:
         raise AdditivityViolated(
             "summand Hilbert functions do not add up to the module; the "
@@ -428,54 +401,46 @@ def syzygy_shift_evidence(classification, algebra, bound):
 
 
 def _hom_system(P, Q, n):
-    """Action rows of the degree-n Hom system P -> Q, with their offsets.
+    """Action rows of the degree-n Hom system P -> Q, with the block size.
 
-    A map sends generator alpha of P (degree d) to an element of Q_(d+n),
-    so the unknowns are the coordinates of those images, one block per
-    generator.  A relation sum_alpha g_alpha a_alpha of degree e asks that
-    the images times the a_alpha sum to zero in Q_(e+n).  Each a_alpha acts
-    through quadratic.right_action, and row u holds what unknown u
-    contributes: one column block per relation, one column per basis
-    vector of its Q_(e+n).  The maps are the kernel of the transpose.  The
-    a_alpha come from P's relation blocks (_source_blocks), built once per
-    module, and the rows of the first column block are the action rows
-    themselves.
+    A map sends each generator of P to an element of Q_n, so the unknowns
+    are the coordinates of those images, one block of dim Q_n per
+    generator.  A relation sum_alpha g_alpha a_alpha asks that the images
+    times the a_alpha sum to zero in Q_(n+1).  Each a_alpha acts through
+    quadratic.right_action, and row u holds what unknown u contributes:
+    one column block per relation, one column per basis vector of
+    Q_(n+1).  The maps are the kernel of the transpose.  The a_alpha come
+    from P's relation blocks (_source_blocks), built once per module, and
+    the rows of the first column block are the action rows themselves.
     """
     if Q.algebra is not P.algebra:
         raise ValueError("hom requires modules over the same algebra")
-    degrees = P.presentation.generator_degrees
-    offsets = []
-    pos = 0
-    for d in degrees:
-        b = Q.graded_dim(d + n)
-        offsets.append((pos, b))
-        pos += b
-    rows = [{} for _ in range(pos)]
+    b = Q.graded_dim(n)
+    rows = [{} for _ in range(P.presentation.rank * b)]
+    up = Q.graded_dim(n + 1)
     col = 0
-    for e, blocks in P._source_blocks():
+    for blocks in P._source_blocks():
         for alpha, terms in blocks:
-            ostart, ob = offsets[alpha]
-            if not ob:
-                continue
-            action = right_action(Q, degrees[alpha] + n, terms)
+            action = right_action(Q, n, terms)
             if not col:
                 # the first column block: the fresh action rows are the
                 # system rows as they stand
-                rows[ostart:ostart + ob] = action
+                rows[alpha * b:(alpha + 1) * b] = action
                 continue
-            for row, image in zip(rows[ostart:ostart + ob], action):
+            for row, image in zip(rows[alpha * b:(alpha + 1) * b], action):
                 for p, x in image.items():
                     row[col + p] = x
-        col += Q.graded_dim(e + n)
-    return Matrix._from_sparse(Q.field, rows, col), offsets
+        col += up
+    return Matrix._from_sparse(Q.field, rows, col), b
 
 
 def hom_space(P, Q, n):
     """Basis of degree-n module maps P -> Q, as generator image tuples:
     the kernel of the transposed action rows (see _hom_system)."""
-    system, offsets = _hom_system(P, Q, n)
+    system, b = _hom_system(P, Q, n)
     kernel = system.transpose().kernel()
-    return tuple(tuple(tuple(row[start:start + b]) for start, b in offsets)
+    return tuple(tuple(tuple(row[alpha * b:(alpha + 1) * b])
+                       for alpha in range(P.presentation.rank))
                  for row in kernel.rows)
 
 
@@ -491,21 +456,16 @@ def direct_sum(modules):
     algebra = modules[0].algebra
     if any(M.algebra is not algebra for M in modules):
         raise ValueError("a direct sum needs modules over one algebra")
-    zero = algebra.field.zero
-    degrees = tuple(d for M in modules
-                    for d in M.presentation.generator_degrees)
+    zero = (algebra.field.zero,) * algebra.gdim
+    rank = sum(M.presentation.rank for M in modules)
     relations = []
     start = 0
     for M in modules:
-        stop = start + len(M.presentation.generator_degrees)
-        for e, vec in M.presentation.relations:
-            before, after = ((zero,) * sum(algebra.graded_dim(e - d)
-                                           for d in ds)
-                             for ds in (degrees[:start], degrees[stop:]))
-            relations.append((e, before + tuple(vec) + after))
+        stop = start + M.presentation.rank
+        relations += [zero * start + tuple(vec) + zero * (rank - stop)
+                      for vec in M.presentation.relations]
         start = stop
-    return GradedModule(algebra, ModulePresentation(degrees,
-                                                    tuple(relations)))
+    return GradedModule(algebra, ModulePresentation(rank, tuple(relations)))
 
 
 @dataclass(frozen=True)
@@ -527,18 +487,15 @@ class EndAlgebraResult:
 
 
 def end_algebra_of(module):
-    """Degree-0 endomorphisms of a degree-0 generated module, as an algebra.
+    """Degree-0 endomorphisms of a module, as an algebra.
 
     The maps are hom_space(module, module, 0).  A map is an m x m matrix F
     over the generators, F[j][i] the coefficient of generator j in the
     image of generator i, flattened row by row; composing basis maps gives
     the structure constants (FiniteDimAlgebra.of_matrices).
     """
-    if any(d != 0 for d in module.presentation.generator_degrees):
-        raise ValueError("End(M) as matrices needs a degree-0 generated "
-                         "module")
     field = module.field
-    m = len(module.presentation.generator_degrees)
+    m = module.presentation.rank
     solution = Subspace._span_sparse(
         field, m * m, [{j * m + i: c for i, image in enumerate(images)
                         for j, c in enumerate(image) if c}

@@ -315,7 +315,7 @@ def _run_stages(report, parsed, degree, seed, skip_qp_check, stop_after):
             if info.cyclic.matched:
                 entry["annihilator"] = linear_string(names,
                                                      info.cyclic.element)
-                entry["quotient hilbert"] = list(info.cyclic.quotient_dims)
+                entry["quotient hilbert"] = list(info.hilbert)
             else:
                 entry["reason"] = info.cyclic.reason
             summands.append(entry)

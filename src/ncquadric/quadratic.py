@@ -39,14 +39,16 @@ class GradedPiece:
     and ``free_index`` maps each back to its basis index.
     ``gen_mult[l][i]`` is the class one degree up of basis vector i times
     x_l, as (index, coefficient) pairs with nonzero coefficients; the owner
-    fills it in on first use.  A_n also lists its normal ``words``; M_n
-    lists the (start, size) ``offsets`` of its generator blocks.
+    fills it in on first use.  A_n also lists its normal ``words``.  M_n
+    of a module of rank r lies in k^r (x) A_n, since every generator has
+    degree 0 (modules.py): column alpha*dim A_n + k is basis vector k of
+    A_n in the block of generator alpha.
     """
 
     __slots__ = ("rel_space", "total", "free_cols", "free_index", "dim",
-                 "gen_mult", "words", "offsets")
+                 "gen_mult", "words")
 
-    def __init__(self, rel_space, offsets=None):
+    def __init__(self, rel_space):
         pivot_set = set(rel_space.pivots)
         self.rel_space = rel_space
         self.total = rel_space.ambient_dim
@@ -56,7 +58,6 @@ class GradedPiece:
         self.dim = len(self.free_cols)
         self.gen_mult = None
         self.words = None
-        self.offsets = offsets
 
     def sparse_class(self, vector):
         """Class of a sparse ambient vector {column: nonzero coefficient},

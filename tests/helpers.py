@@ -138,20 +138,24 @@ def reference_end_solution(ctx):
     return Subspace.span(field, m * m, kernel.rows)
 
 
-def reference_idempotent_summand(parent, image, depth=2):
-    """Presentation of the submodule of a degree-0 generated parent that
-    the basis of a degree-0 subspace generates, found by kernel search.
+def reference_idempotent_summand(parent, image, depth=3):
+    """Presentation of the submodule of a parent that the basis of a
+    degree-0 subspace generates, found by kernel search, with the kernel
+    rows that escape it.
 
     In each degree e up to depth, the full kernel of (free module on the
-    image basis)_e -> parent_e is built one unit vector of A_e at a time; a
-    kernel row joins the relations unless the translates of the earlier
-    relations already span it.
+    image basis)_e -> parent_e is built one unit vector of A_e at a time.
+    The kernel in degree 1 gives the relations.  A kernel row of a higher
+    degree that the translates of those relations do not span escapes the
+    linear presentation; the escapes are returned as (degree, row) pairs,
+    so a linear submodule has none.
     """
     field = parent.field
     alg = parent.algebra
     gens = [tuple(row) for row in image.basis]
     r = len(gens)
-    relations = []
+    presentation = ModulePresentation(r, ())
+    escapes = []
     for e in range(1, depth + 1):
         block = alg.graded_dim(e)
         cols = []
@@ -162,15 +166,16 @@ def reference_idempotent_summand(parent, image, depth=2):
                 cols.append(parent.mult_by_element(0, gens[beta], e, unit))
         rows = [[cols[c][pos] for c in range(r * block)]
                 for pos in range(parent.graded_dim(e))]
-        kernel = Matrix(field, rows, ncols=r * block).kernel()
-        span = GradedModule(alg, ModulePresentation(
-            (0,) * r, tuple(relations))).level(e).rel_space
-        for row in kernel.rows:
-            if not span.contains(list(row)):
-                relations.append((e, tuple(row)))
-                span = Subspace.span(field, r * block,
-                                     list(span.basis) + [list(row)])
-    return ModulePresentation((0,) * r, tuple(relations))
+        kernel = [tuple(row) for row in
+                  Matrix(field, rows, ncols=r * block).kernel().rows]
+        if e == 1:
+            presentation = ModulePresentation(r, tuple(kernel))
+            linear = GradedModule(alg, presentation)
+            continue
+        span = linear.level(e).rel_space
+        escapes += [(e, row) for row in kernel
+                    if not span.contains(list(row))]
+    return presentation, tuple(escapes)
 
 
 def reference_preresolution_dims(presentations, algebra, bound):
@@ -197,7 +202,7 @@ def pairwise_preresolution_solution(modules):
     the columns of those of M_i, flattened row by row.  Returns the span
     of all the blocks, End(M_1 (+) ... (+) M_k)_0 as a subspace."""
     owner = [i for i, module in enumerate(modules)
-             for _ in module.presentation.generator_degrees]
+             for _ in range(module.presentation.rank)]
     size = len(owner)
     starts = [owner.index(i) for i in range(len(modules))]
     vectors = [{(starts[j] + beta) * size + starts[i] + alpha: c

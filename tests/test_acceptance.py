@@ -139,7 +139,7 @@ def test_criterion_03_mcm_classification(golden_cls, golden_ctx):
     from ncquadric import ModulePresentation
     for info in golden_cls.summands:
         u = tuple(info.cyclic.element)
-        cyclic = GradedModule(quotient, ModulePresentation((0,), ((1, u),)))
+        cyclic = GradedModule(quotient, ModulePresentation(1, (u,)))
         assert info.hilbert == tuple(cyclic.graded_dim(n) for n in range(7))
     print("criterion 3: PASS - annihilators match up to scalar and "
           "permutation; summand Hilbert functions match A/uA to degree 6")

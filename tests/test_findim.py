@@ -1,3 +1,4 @@
+import traceback
 from fractions import Fraction
 from pathlib import Path
 
@@ -430,3 +431,16 @@ def test_a_nonsplit_is_raised_again_unchanged(make, Q, monkeypatch):
         assert second.value.partial == first.value.partial
         assert second.value.decided == first.value.decided
     assert calls == []
+
+
+@pytest.mark.parametrize("make", (gaussian_as_rational_algebra, quaternions))
+def test_a_kept_nonsplit_is_raised_from_its_first_traceback(make, Q):
+    # each call raises the kept NonSplit from the traceback of its first
+    # raise, so the traceback keeps its length instead of growing per call
+    alg = make(Q)
+    lengths = []
+    for _ in range(3):
+        with pytest.raises(NonSplit) as raised:
+            alg.primitive_idempotents(seed=0)
+        lengths.append(len(traceback.extract_tb(raised.value.__traceback__)))
+    assert lengths[0] == lengths[1] == lengths[2]

@@ -20,32 +20,26 @@ ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 def reference_hom_space(P, Q, n):
     field = Q.field
-    offsets = []
-    pos = 0
-    for d in P.presentation.generator_degrees:
-        b = Q.graded_dim(d + n)
-        offsets.append((pos, b))
-        pos += b
-    total = pos
+    g = Q.algebra.gdim
+    rank = P.presentation.rank
+    b, up = Q.graded_dim(n), Q.graded_dim(n + 1)
+    total = rank * b
     rows = []
-    for e, vec in P.presentation.relations:
-        tgt = Q.graded_dim(e + n)
-        src_offsets, _ = P._free_offsets(e)
-        cols = [[field.zero] * tgt for _ in range(total)]
-        for alpha, d in enumerate(P.presentation.generator_degrees):
-            start, b = src_offsets[alpha]
-            coeffs = vec[start:start + b]
+    for vec in P.presentation.relations:
+        cols = [[field.zero] * up for _ in range(total)]
+        for alpha in range(rank):
+            coeffs = vec[alpha * g:(alpha + 1) * g]
             if not any(coeffs):
                 continue
-            ostart, ob = offsets[alpha]
-            for j in range(ob):
+            for j in range(b):
                 unit = tuple(field.one if t == j else field.zero
-                             for t in range(ob))
-                img = Q.mult_by_element(d + n, unit, e - d, coeffs)
-                cols[ostart + j] = list(img)
-        for p in range(tgt):
+                             for t in range(b))
+                img = Q.mult_by_element(n, unit, 1, coeffs)
+                cols[alpha * b + j] = list(img)
+        for p in range(up):
             rows.append([cols[c][p] for c in range(total)])
-    return tuple(tuple(tuple(row[start:start + b]) for start, b in offsets)
+    return tuple(tuple(tuple(row[alpha * b:(alpha + 1) * b])
+                       for alpha in range(rank))
                  for row in dense_kernel(field, rows, total))
 
 
@@ -90,17 +84,19 @@ def test_hom_space_matches_unit_walk_golden(golden_ctx, golden_module):
     def row(*ints):
         return tuple(gauss(field, c) for c in ints)
 
-    # generators in degrees 0 and 1: a scalar coefficient block, degree-2
-    # relations, and a relation with a zero block
-    mixed = ModulePresentation((0, 1), (
-        (1, row(1, 0, 2, -1)),
-        (2, row(0, 0, 0, 0, 0, 0, 1, 0)),
-        (2, row(1, 0, 0, 0, 1, 0, 0, 3)),
+    # two modules that are no summands of M: on two generators, one
+    # relation mixing both and one with a zero block; on three, a chain of
+    # two relations, each with a zero block
+    mixed = ModulePresentation(2, (
+        row(1, 0, 2, 0, -1, 0),
+        row(0, 0, 0, 0, 0, 1),
     ))
-    # one cubic relation: three table steps per coefficient word
-    cubic = ModulePresentation((0,), ((3, row(1, 0, -2, 0, 0, 1, 0)),))
+    chain = ModulePresentation(3, (
+        row(1, 0, 0, 0, -1, 0, 0, 0, 0),
+        row(0, 0, 0, 0, 0, 1, -2, 0, 1),
+    ))
     assert_same_homs(golden_ctx, [golden_module.presentation, summands[0],
-                                  summands[1], mixed, cubic], bound)
+                                  summands[1], mixed, chain], bound)
 
 
 def test_hom_space_matches_unit_walk_skew4():

@@ -92,9 +92,9 @@ def test_koszul_components_cached(golden_ctx):
 
 def test_syzygy_presentation_matches_documented_relations(golden_ctx):
     pres = syzygy_presentation(golden_ctx)
-    assert pres.generator_degrees == (0, 0, 0, 0)
+    assert pres.rank == 4
     assert len(pres.relations) == 4
-    assert all(deg == 1 for deg, _ in pres.relations)
+    assert all(len(row) == 4 * 3 for row in pres.relations)
     field = golden_ctx.ambient.field
     # convert documented rows to the canonical basis: the expansion
     # sum_i p_i (x) c_i becomes sum_j b_j (x) (sum_i T[i][j] c_i)
@@ -110,7 +110,7 @@ def test_syzygy_presentation_matches_documented_relations(golden_ctx):
                                 field, row[i * 3 + l] * T_ROWS[i][j])
         converted.append(out)
     mine = Subspace.span(field, 12,
-                         [list(r) for _, r in pres.relations])
+                         [list(r) for r in pres.relations])
     docs = Subspace.span(field, 12, converted)
     assert mine == docs
 

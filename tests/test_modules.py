@@ -73,9 +73,13 @@ def test_free_module(golden_ctx):
 
 
 def test_presentation_validation(golden_ctx):
-    bad = ModulePresentation((0,), ((1, (golden_ctx.ambient.field.one,)),))
-    with pytest.raises(ValueError):
-        GradedModule(golden_ctx.quotient, bad)
+    # a relation row lies in (generators) (x) V, of length rank * 3 here
+    one = golden_ctx.ambient.field.one
+    for bad in (ModulePresentation(1, ((one,),)),
+                ModulePresentation(2, ((one,) * 3,)),
+                ModulePresentation(1, ((one,) * 3, (one,) * 6))):
+        with pytest.raises(ValueError, match="wrong length"):
+            GradedModule(golden_ctx.quotient, bad)
 
 
 def test_idempotent_summand(golden_ctx, golden_module,
@@ -105,9 +109,48 @@ def test_closed_form_summands_match_the_kernel_search(path, count, rank):
         assert image.dim == rank
         got = GradedModule(ctx.quotient, pres)
         want = GradedModule(ctx.quotient,
-                            reference_idempotent_summand(end.module, image))
+                            reference_idempotent_summand(end.module, image)[0])
         for n in range(7):
             assert got.level(n).rel_space == want.level(n).rel_space, n
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("path", [
+    "inputs/node.pres", "inputs/node_t4.pres", "inputs/quadric3.pres",
+    "bench/corpus/comm4.pres", "bench/corpus/skew3.pres",
+    "bench/corpus/skew4.pres"])
+def test_every_summand_is_linear(path, seed):
+    # a module is a rank and its degree-1 relations: that rests on every
+    # summand e.M of M being linear.  The kernel search runs through degree
+    # 3, and no kernel row of degree 2 or 3 escapes the translates of the
+    # degree-1 relations, which span the relations of the closed-form cut.
+    # The files are those whose End(M) splits (the others raise NonSplit
+    # or NotSemisimple at both seeds)
+    ctx = load_context(ROOT / path, bound=6)
+    end = end_algebra(ctx)
+    field = ctx.quotient.field
+    for mat in idempotent_matrices(end, seed=seed):
+        image, pres = idempotent_summand(end.module, mat)
+        want, escapes = reference_idempotent_summand(end.module, image)
+        assert escapes == ()
+        size = image.dim * ctx.quotient.gdim
+        assert Subspace.span(field, size, [list(r) for r in pres.relations]) \
+            == Subspace.span(field, size, [list(r) for r in want.relations])
+
+
+def test_the_kernel_search_reports_a_relation_of_degree_2(golden_ctx):
+    # (1, 1) in A/xA (+) A/yA is killed by xA meet yA, which starts in
+    # degree 2: the submodule it generates is not linear, and the kernel
+    # search says so
+    alg = golden_ctx.quotient
+    field = alg.field
+    x, y = word_class(alg, 0), word_class(alg, 1)
+    parent = direct_sum([cyclic_quotient(alg, x), cyclic_quotient(alg, y)])
+    diagonal = Subspace.span(field, 2, [[field.one, field.one]])
+    pres, escapes = reference_idempotent_summand(parent, diagonal)
+    assert pres.relations == ()
+    assert escapes and {e for e, _ in escapes} <= {2, 3}
+    assert 2 in {e for e, _ in escapes}
 
 
 def test_idempotent_summand_rejects_a_non_idempotent(golden_module):
@@ -144,7 +187,6 @@ def test_classification(golden_classification):
     for info in cls.summands:
         assert info.hilbert == (1, 2, 3, 4, 5, 6, 7)
         assert info.cyclic.matched
-        assert info.cyclic.quotient_dims == info.hilbert
 
 
 def test_classification_annihilators(golden_classification, golden_ctx):
@@ -155,16 +197,16 @@ def test_classification_annihilators(golden_classification, golden_ctx):
 
 
 def test_identify_cyclic_negative(golden_ctx):
-    two_gens = ModulePresentation((0, 0), ())
+    two_gens = ModulePresentation(2, ())
     match = identify_cyclic_quotient(
-        GradedModule(golden_ctx.quotient, two_gens), 4)
+        GradedModule(golden_ctx.quotient, two_gens))
     assert not match.matched
     assert "degree-0" in match.reason
 
 
 def cyclic_quotient(alg, *relations):
-    """The cyclic module A/(relations), each a (degree, class row) pair."""
-    return GradedModule(alg, ModulePresentation((0,), relations))
+    """The cyclic module A/(relations), each a degree-1 class row."""
+    return GradedModule(alg, ModulePresentation(1, relations))
 
 
 def word_class(alg, *letters):
@@ -181,38 +223,10 @@ def word_class(alg, *letters):
 def test_identify_cyclic_rejects_a_two_dimensional_annihilator(golden_ctx):
     alg = golden_ctx.quotient
     x, y = word_class(alg, 0), word_class(alg, 1)
-    match = identify_cyclic_quotient(cyclic_quotient(alg, (1, x), (1, y)), 5)
+    match = identify_cyclic_quotient(cyclic_quotient(alg, x, y))
     assert not match.matched
     assert match.element is None
     assert match.reason == "degree-1 annihilator has dimension 2"
-
-
-def test_identify_cyclic_compares_against_a_built_quotient(golden_ctx):
-    # a degree-2 relation sends the check through an explicit A/xA: y*z
-    # lies outside xA and cuts the module down, x*y lies inside and not
-    alg = golden_ctx.quotient
-    x = word_class(alg, 0)
-    yz, xy = word_class(alg, 1, 2), word_class(alg, 0, 1)
-    ax = cyclic_quotient(alg, (1, x))
-    ax_dims = tuple(ax.hilbert(5))
-    residues = []
-    for cls in (yz, xy):
-        vec = {k: c for k, c in enumerate(cls) if c}
-        ax.level(2).rel_space.reduce_sparse(vec)
-        residues.append(vec)
-    assert residues[0] and not residues[1]
-
-    smaller = cyclic_quotient(alg, (1, x), (2, yz))
-    match = identify_cyclic_quotient(smaller, 5)
-    assert not match.matched
-    assert match.element == x
-    assert match.reason == "graded dimensions differ from A/xA"
-    assert match.quotient_dims == ax_dims
-    assert match.summand_dims == tuple(smaller.hilbert(5)) != ax_dims
-
-    same = identify_cyclic_quotient(cyclic_quotient(alg, (1, x), (2, xy)), 5)
-    assert same.matched
-    assert same.summand_dims == same.quotient_dims == ax_dims
 
 
 @pytest.mark.parametrize("path", ["inputs/quadric3.pres",
@@ -226,9 +240,9 @@ def test_cyclic_summands_have_the_dimensions_of_a_built_quotient(path):
                        bound)
     for info in cls.summands:
         assert info.cyclic.matched
-        built = cyclic_quotient(ctx.quotient, (1, info.cyclic.element))
-        assert info.cyclic.quotient_dims == tuple(built.hilbert(bound))
-        assert info.cyclic.quotient_dims == info.hilbert
+        assert info.presentation.relations == (info.cyclic.element,)
+        built = cyclic_quotient(ctx.quotient, info.cyclic.element)
+        assert info.hilbert == tuple(built.hilbert(bound))
 
 
 def test_syzygy_shift(golden_classification, golden_ctx):
@@ -252,7 +266,7 @@ def test_syzygy_rows_are_the_relation_spans_of_a_fresh_module(path):
     ctx = load_context(path, bound=8)
     pres = syzygy_presentation(ctx)
     field = ctx.quotient.field
-    m = len(pres.generator_degrees)
+    m = pres.rank
     ident = Matrix(field, [[field.one if i == j else field.zero
                             for j in range(m)] for i in range(m)], ncols=m)
     cls = classify_mcm(GradedModule(ctx.quotient, pres), [ident],
@@ -346,7 +360,7 @@ def test_hom_graded_is_the_dimension_of_hom_space(path):
     module = GradedModule(algebra, syzygy_presentation(ctx))
     _, cyclic = idempotent_summand(
         module, idempotent_matrices(end_algebra(ctx))[0])
-    assert cyclic.generator_degrees == (0,)
+    assert cyclic.rank == 1
 
     def row(size):
         # nonzero at the odd places only: a denser row makes the skew4
@@ -354,13 +368,13 @@ def test_hom_graded_is_the_dimension_of_hom_space(path):
         return tuple(field.from_rational((5 * k + 2) % 7 - 3 if k % 2 else 0)
                      for k in range(size))
 
-    a1, a2 = algebra.graded_dim(1), algebra.graded_dim(2)
+    g = algebra.gdim
     presentations = [
         module.presentation,
         free_module(algebra).presentation,
         cyclic,
-        ModulePresentation((0,), ((2, row(a2)),)),
-        ModulePresentation((0, 1), ((2, row(a2 + a1)),)),
+        ModulePresentation(1, (row(g),)),
+        ModulePresentation(2, (row(2 * g),)),
     ]
     modules = [GradedModule(algebra, p) for p in presentations]
     dims = []
@@ -480,20 +494,24 @@ def test_a_full_run_builds_each_summand_level_once(monkeypatch):
 
 
 def two_summand_modules(ctx):
-    """The syzygy module and a module on generators of degrees 0 and 1."""
+    """The syzygy module and a rank-2 module whose one relation mixes both
+    generators."""
     algebra = ctx.quotient
     field = algebra.field
-    size = algebra.graded_dim(2) + algebra.graded_dim(1)
     row = tuple(field.from_rational((5 * k + 2) % 7 - 3 if k % 2 else 0)
-                for k in range(size))
+                for k in range(2 * algebra.gdim))
     return (GradedModule(algebra, syzygy_presentation(ctx)),
-            GradedModule(algebra, ModulePresentation((0, 1), ((2, row),))))
+            GradedModule(algebra, ModulePresentation(2, (row,))))
 
 
 def test_direct_sum_adds_hilbert_functions(golden_ctx):
     P, Q = two_summand_modules(golden_ctx)
     total = direct_sum([P, Q])
-    assert total.presentation.generator_degrees == (0, 0, 0, 0, 0, 1)
+    zero = (golden_ctx.quotient.field.zero,) * 3
+    assert total.presentation.rank == 6
+    assert total.presentation.relations == (
+        tuple(tuple(vec) + zero * 2 for vec in P.presentation.relations)
+        + (zero * 4 + Q.presentation.relations[0],))
     assert total.hilbert(5) == [p + q for p, q in
                                 zip(P.hilbert(5), Q.hilbert(5))]
 
@@ -521,19 +539,13 @@ def test_preresolution_with_a_decomposable_summand_is_not_semisimple(
     algebra = golden_ctx.quotient
     field = algebra.field
     x = (field.zero, field.one, field.element((0, 1)))  # y + i*z
-    cyclic = GradedModule(algebra, ModulePresentation((0,), ((1, x),)))
+    cyclic = GradedModule(algebra, ModulePresentation(1, (x,)))
     summand = direct_sum([cyclic, free_module(algebra)])
     assert end_algebra_of(summand).algebra.radical().dim == 1
     table = preresolution_table([summand], algebra, 4)
     assert table.diagonal_dims == (3,)
     assert not table.diagonal_semisimple
     assert not table.gldim_le_1
-
-
-def test_end_algebra_of_needs_degree_zero_generators(golden_ctx):
-    _, Q = two_summand_modules(golden_ctx)
-    with pytest.raises(ValueError):
-        end_algebra_of(Q)
 
 
 def test_mult_by_element_degree_zero(golden_ctx, golden_module):
@@ -551,60 +563,49 @@ ENGINE_BOUND = 6
 
 
 def literal_rel_space(module, n):
-    """Span of every relation times every normal word of A_(n-e), each
+    """Span of every relation times every normal word of A_(n-1), each
     product walked letter by letter through QuadraticPresentation.multiply."""
     alg, field = module.algebra, module.field
-    degs = module.presentation.generator_degrees
-
-    def offsets(m):
-        out, pos = [], 0
-        for d in degs:
-            out.append((pos, alg.graded_dim(m - d)))
-            pos += alg.graded_dim(m - d)
-        return out, pos
-
-    tgt, total = offsets(n)
+    g, size = alg.gdim, alg.graded_dim(n)
+    rank = module.presentation.rank
+    dim = alg.graded_dim(n - 1)
     vectors = []
-    for e, vec in module.presentation.relations:
-        if e > n:
-            continue
-        src, _ = offsets(e)
-        dim = alg.graded_dim(n - e)
+    for vec in module.presentation.relations:
         for j in range(dim):
             unit = tuple(field.one if t == j else field.zero
                          for t in range(dim))
-            out = [field.zero] * total
-            for (s, b), (start, _), d in zip(src, tgt, degs):
-                if any(vec[s:s + b]):
-                    prod = alg.multiply(e - d, vec[s:s + b], n - e, unit)
+            out = [field.zero] * (rank * size)
+            for alpha in range(rank):
+                block = vec[alpha * g:(alpha + 1) * g]
+                if any(block):
+                    prod = alg.multiply(1, block, n - 1, unit)
                     for k, c in enumerate(prod):
-                        out[start + k] = out[start + k] + c
+                        out[alpha * size + k] = out[alpha * size + k] + c
             vectors.append(out)
-    return Subspace.span(field, total, vectors)
+    return Subspace.span(field, rank * size, vectors)
 
 
 def literal_product(module, n, coords, k, a_coords):
     """Class of representative(n, coords) times a, blockwise in the free
     module, reduced with class_coords."""
     alg = module.algebra
+    size, up = alg.graded_dim(n), alg.graded_dim(n + k)
     rep = representative(module, n, coords)
-    lvl, nxt = module.level(n), module.level(n + k)
-    out = [module.field.zero] * nxt.total
-    for alpha, d in enumerate(module.presentation.generator_degrees):
-        start, b = lvl.offsets[alpha]
-        block = rep[start:start + b]
+    out = [module.field.zero] * (module.presentation.rank * up)
+    for alpha in range(module.presentation.rank):
+        block = rep[alpha * size:(alpha + 1) * size]
         if any(block):
-            prod = alg.multiply(n - d, block, k, a_coords)
-            nstart = nxt.offsets[alpha][0]
+            prod = alg.multiply(n, block, k, a_coords)
             for t, c in enumerate(prod):
-                out[nstart + t] = out[nstart + t] + c
+                out[alpha * up + t] = out[alpha * up + t] + c
     return class_coords(module, n + k, out)
 
 
 @pytest.fixture(scope="module")
 def engine_modules(golden_ctx, golden_module, golden_idem_matrices):
-    """Presentations of the golden parent, one of its summands, and a module
-    with generators in degrees 0 and 1 (one relation has a zero block)."""
+    """Presentations of the golden parent, one of its summands, and a rank-2
+    module that is no summand of it: one relation mixes both generators,
+    one has a zero block."""
     alg = golden_ctx.quotient
     field = alg.field
     _, summand = idempotent_summand(golden_module, golden_idem_matrices[0])
@@ -612,12 +613,11 @@ def engine_modules(golden_ctx, golden_module, golden_idem_matrices):
     def row(*ints):
         return tuple(gauss(field, c) for c in ints)
 
-    mixed = ModulePresentation((0, 1), (
-        (1, row(1, 0, 2, -1)),                   # g0*(x+2z) = g1
-        (2, row(0, 0, 0, 0, 0, 0, 1, 0)),        # g1*y = 0
-        (2, row(1, 0, 0, 0, 1, 0, 0, 3)),        # g0*(w0+w4) + 3*g1*z = 0
+    mixed = ModulePresentation(2, (
+        row(1, 0, 2, 0, -1, 0),                  # g0*(x+2z) = g1*y
+        row(0, 0, 0, 0, 0, 1),                   # g1*z = 0
     ))
-    assert (alg.graded_dim(1), alg.graded_dim(2)) == (3, 5)
+    assert alg.gdim == 3
     return {"parent": golden_module.presentation, "summand": summand,
             "mixed": mixed}
 

@@ -39,7 +39,11 @@ def test_input_reports_match_the_pinned_digests():
     # the verdict at degree 6, seed 0, the runs of the verdict bench
     # workload; and bench/corpus/skew4q.pres in full at degree 6, seeds 0
     # and 1, where End(M) does not split over Q and dual-crosscheck reads
-    # the same NonSplit again.
+    # the same NonSplit again; and, at seed 1, bench/corpus/skew4.pres at
+    # degree 6 and bench/corpus/skew3.pres at degree 12, in full: each seed
+    # cuts other summand presentations out of M, so these check the
+    # summand cuts and the direct sum of the pre-resolution algebra on a
+    # second set of relation rows.
     # A change that alters a report on purpose regenerates the file with
     # the same command per input
     pinned = (ROOT / "tests" / "report_digests.txt").read_text().splitlines()
@@ -52,6 +56,8 @@ def test_input_reports_match_the_pinned_digests():
     for path in ("bench/corpus/comm4.pres", "bench/corpus/skew4q.pres"):
         runs.append((path, "6", ["0"], ["--stage", "verdict"]))
     runs.append(("bench/corpus/skew4q.pres", "6", ["0", "1"], []))
+    runs.append(("bench/corpus/skew4.pres", "6", ["1"], []))
+    runs.append(("bench/corpus/skew3.pres", "12", ["1"], []))
     got = []
     for path, degree, seeds, stage in runs:
         got += subprocess.run(
