@@ -39,9 +39,9 @@ def main(argv=None):
         return 2
     try:
         parsed = parse_file(args.file)
-    except OSError as exc:
-        print(f"error: cannot read {args.file}: {exc.strerror or exc}",
-              file=sys.stderr)
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        print(f"error: cannot read {args.file}: {reason}", file=sys.stderr)
         return 2
     except ParseError as exc:
         print(f"error: {args.file}: {exc}", file=sys.stderr)

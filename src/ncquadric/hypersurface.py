@@ -7,8 +7,9 @@ w.  The key player is the d-th syzygy module M of the trivial module
 Its degree-0 endomorphism algebra, built by modules.end_algebra_of from
 hom_space(M, M, 0), decides whether A is an isolated singularity, and the
 localized quadratic dual gives an independent second construction of the
-same algebra.  Every product matrix in both routes is read off the sparse
-generator tables through quadratic.right_action.
+same algebra.  Every product in both routes is read off the sparse
+generator tables: a matrix through quadratic.right_action, and the dual's
+central system one step through its tables and its left tables.
 """
 
 from __future__ import annotations
@@ -27,14 +28,11 @@ from .tensors import KOSZUL_DUAL, koszul_space, koszul_transition
 class HypersurfaceContext:
     """Everything derived from one (S, w) pair, with shared caches."""
 
-    def __init__(self, ambient, central, quotient, regularity, bound):
+    def __init__(self, ambient, quotient):
         self.ambient = ambient
-        self.central = central
         self.quotient = quotient
         self.d = ambient.gdim - 1
         self.gorenstein_parameter = self.d - 1
-        self.regularity = regularity
-        self.bound = bound
         self._koszul_cache = None
 
     @property
@@ -61,16 +59,17 @@ def build_context(ambient, w, bound=6, regularity=None):
     multiplication by w up to the bound.  A caller that already holds that
     certificate, ``is_regular_deg2(ambient, w, bound)``, passes it as
     ``regularity``; the quotient A/(w) it was read from becomes
-    ``ctx.quotient`` either way, so the quotient is built once.
+    ``ctx.quotient`` either way, so the quotient is built once.  The
+    entries of w may be field elements, ints or Fractions; each check
+    coerces them as Subspace.span does.
     """
     if ambient.gdim < 2:
         raise UnsupportedDimension(
             "hypersurface quotients need at least two generators")
-    field = ambient.field
-    w = tuple(field.element(c) if not hasattr(c, "field") else c for c in w)
+    w = list(w)
     if len(w) != ambient.gdim ** 2:
         raise ValueError("central candidate must live in V (x) V")
-    if ambient.relation_space.contains(list(w)):
+    if ambient.relation_space.contains(w):
         raise RelationDependence(
             "central candidate lies in the relation space of the ambient "
             "algebra")
@@ -82,7 +81,7 @@ def build_context(ambient, w, bound=6, regularity=None):
         raise NotRegularCertificate(
             f"multiplication by the central element drops rank at degree "
             f"{cert.first_failure}")
-    return HypersurfaceContext(ambient, w, cert.quotient, cert, bound)
+    return HypersurfaceContext(ambient, cert.quotient)
 
 
 def koszul_component(ctx, n):
@@ -142,15 +141,15 @@ def stable_dual_algebra(ctx):
         return right_action(dual, n, [(w, c) for w, c in
                                       zip(dual.basis_words(k), coords) if c])
 
-    # column j of the central system: b_j x_l - x_l b_j, keyed (l, position)
-    by_letter = [right_action(dual, 2, [((l,), one)])
-                 for l in range(dual.gdim)]
+    # column j of the central system: b_j x_l - x_l b_j, keyed (l, position),
+    # read off the tables and the left tables of the dual's degree 2
+    right, left = dual.tables(2), dual.left_tables(2)
     cols = []
-    for j, word in enumerate(dual.basis_words(2)):
+    for j in range(dual.graded_dim(2)):
         col = {}
-        for l, left in enumerate(right_action(dual, 1, [(word, one)])):
-            diff = dict(by_letter[l][j])
-            add_multiple(diff, -one, left)
+        for l in range(dual.gdim):
+            diff = dict(right[l][j])
+            add_multiple(diff, -one, dict(left[l][j]))
             col.update(((l, pos), c) for pos, c in diff.items())
         cols.append(col)
     central = Matrix._from_sparse(field, column_system(field, cols),

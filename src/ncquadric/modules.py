@@ -14,26 +14,25 @@ Hom_n(P, Q) = Hom_0(P, Q(n)).  So the first syzygy of a linear module N,
 generated in degree 1, is the linear Omega(N)(1), and Omega(N) = N'(-1)
 asks for degree-0 maps between linear modules.
 
-Normal words grow one letter at a time (w = w'x_l, as in
-QuadraticPresentation._build_component), so each translate is one
-generator step from a translate a degree lower; only the latest shift of
-each relation is kept, and the translates go to the elimination as sparse
-rows.  M_n is a GradedPiece, the piece type of A_n, with sparse generator
-tables in the same format, and the action of the algebra runs through the
-table step, word walk and right action that the algebra itself uses
-(quadratic.py).  On top of that sit the operations the hypersurface
-pipeline needs: graded Hom spaces, built once as sparse right_action rows
-per unknown (_hom_system) and read two ways, the maps as the kernel of
-their transpose (hom_space) and the dimension as the unknowns less their
-rank (hom_graded); the summand e.M of an idempotent endomorphism,
-presented in closed form from the relations of M; recognition of cyclic
-quotients A/xA; direct sums; and the one builder of a degree-zero
-endomorphism algebra, end_algebra_of, which serves both End(M)
-(hypersurface.end_algebra) and the pre-resolution algebra
-End(M_1 (+) ... (+) M_k (+) A)_0.
+A relation block sum_l c_l x_l times a normal word w of A_(n-1) is
+sum_l c_l (x_l.w), a combination of rows of the algebra's left tables
+(QuadraticPresentation.left_tables), so a module keeps no state per
+relation; the translates go to the elimination as sparse rows.  M_n is a
+GradedPiece, the piece type of A_n, with sparse generator tables in the
+same format, and the action of the algebra runs through the table step
+and right action that the algebra itself uses (quadratic.py).  On top of
+that sit the operations the hypersurface pipeline needs: graded Hom
+spaces, built once as sparse right_action rows per unknown (_hom_system)
+and read two ways, the maps as the kernel of their transpose (hom_space)
+and the dimension as the unknowns less their rank (hom_graded); the
+summand e.M of an idempotent endomorphism, presented in closed form from
+the relations of M; recognition of cyclic quotients A/xA; direct sums;
+and the one builder of a degree-zero endomorphism algebra,
+end_algebra_of, which serves both End(M) (hypersurface.end_algebra) and
+the pre-resolution algebra End(M_1 (+) ... (+) M_k (+) A)_0.
 
-Each module is built once per run.  A Hom source reads only its relation
-blocks, coerced once per module; a target reads its levels.  The free
+Each module is built once per run.  Its relation blocks are coerced once
+per module; a Hom source reads only those, and a target its levels.  The free
 module A reads the algebra's own tables.  classify_mcm is the last reader
 of the syzygy module M: it keeps M's Hilbert function through the bound
 in the classification, which is all syzygy_shift_evidence reads, and lets
@@ -50,7 +49,8 @@ from dataclasses import dataclass, field as dataclass_field
 from .errors import AdditivityViolated, AlgebraError
 from .findim import FiniteDimAlgebra
 from .linalg import Matrix, Subspace, add_multiple, column_system, sparse_row
-from .quadratic import GradedPiece, generator_step, right_action, word_walk
+from .quadratic import (GradedPiece, dense_product, generator_step,
+                        right_action)
 
 
 @dataclass(frozen=True)
@@ -68,68 +68,46 @@ class GradedModule:
         self.presentation = presentation
         self.field = algebra.field
         self._levels = {}
-        self._frontier = {}  # relation index -> (shift, translate blocks)
-        self._blocks = None  # relation blocks as a Hom source
+        self._blocks = None  # relation blocks, coerced once
         for vec in presentation.relations:
             if len(vec) != presentation.rank * algebra.gdim:
                 raise ValueError("relation row has the wrong length")
-
-    def _translates(self, idx, shift):
-        """Blocks of r.w for relation idx and each normal word w of A_shift.
-
-        One entry per word, in basis order; each entry holds one sparse
-        class in A_(shift+1) per generator.  The last shift asked for is
-        kept, and a lower shift starts over from the relation itself.
-        """
-        alg = self.algebra
-        g = alg.gdim
-        have = self._frontier.get(idx)
-        if have is None or have[0] > shift:
-            vec = self.presentation.relations[idx]
-            have = (0, [tuple(tuple(sparse_row(self.field,
-                                               vec[a * g:(a + 1) * g]).items())
-                              for a in range(self.presentation.rank))])
-        s, rows = have
-        while s < shift:
-            # block times x_l, read off the algebra's table of its degree
-            table = alg.tables(s + 1)
-            rows = [tuple(generator_step(table[c % g], blk) if blk else ()
-                          for blk in rows[c // g])
-                    for c in alg.component(s + 1).free_cols]
-            s += 1
-        self._frontier[idx] = (s, rows)
-        return rows
 
     def level(self, n):
         """M_n: the relation translates of degree n and their cokernel.
 
         Column alpha*dim A_n + k is basis vector k of A_n in the block of
-        generator alpha.  The translates of a relation come from its
-        frontier, one generator step per block and degree (see
-        _translates); the rows handed to the elimination are the products
-        r.w in relation order, then word order.
+        generator alpha.  The row of relation r at word w_j of A_(n-1) is
+        r.w_j: in block alpha, sum_l c_l (x_l.w_j) for the coefficients c_l
+        of the block (_source_blocks), read off the algebra's left tables
+        of degree n-1.  Rows go to the elimination in relation order, then
+        word order.
         """
         lvl = self._levels.get(n)
         if lvl is not None:
             return lvl
         size = self.algebra.graded_dim(n)
         vectors = []
-        if n >= 1:
-            for idx in range(len(self.presentation.relations)):
-                for blocks in self._translates(idx, n - 1):
-                    vectors.append({alpha * size + k: c
-                                    for alpha, block in enumerate(blocks)
-                                    for k, c in block})
+        if n >= 1 and self.presentation.relations:
+            # by_word[j][l] is x_l.w_j; degree-1 word (l,) is basis vector l
+            by_word = list(zip(*self.algebra.left_tables(n - 1)))
+            for blocks in self._source_blocks():
+                letters = [(alpha * size, [(w[0], c) for w, c in terms])
+                           for alpha, terms in blocks]
+                for products in by_word:
+                    vectors.append({offset + k: c
+                                    for offset, coeffs in letters
+                                    for k, c in generator_step(products,
+                                                               coeffs)})
         lvl = GradedPiece(Subspace._span_sparse(
             self.field, self.presentation.rank * size, vectors))
         self._levels[n] = lvl
         return lvl
 
     def drop_levels(self):
-        """Let the built levels and translates go; a later level or table
-        is built again."""
+        """Let the built levels go; a later level or table is built
+        again."""
         self._levels = {}
-        self._frontier = {}
 
     def graded_dim(self, n):
         return self.level(n).dim
@@ -138,7 +116,8 @@ class GradedModule:
         return [self.graded_dim(n) for n in range(bound + 1)]
 
     def _source_blocks(self):
-        """The relations as the source of a Hom system, built once.
+        """The relation blocks, coerced once: the source of a Hom system
+        and the rows of the levels.
 
         One tuple per relation of (alpha, terms) for each generator alpha
         whose block is nonzero: the (degree-1 word, coefficient) pairs of
@@ -184,14 +163,9 @@ class GradedModule:
         return lvl.gen_mult
 
     def mult_by_element(self, n, coords, k, a_coords):
-        """Class of (element of M_n) * (element of A_k).
-
-        Each normal word of A_k acts letter by letter through the generator
-        tables of the levels it passes.
-        """
-        return word_walk(self.tables, self.algebra.basis_words(k),
-                         n, coords, a_coords, self.graded_dim(n + k),
-                         self.field.zero)
+        """Class of (element of M_n) * (element of A_k), combined from the
+        rows of right_action."""
+        return dense_product(self, self.algebra, n, coords, k, a_coords)
 
 
 FREE = ModulePresentation(1, ())
@@ -324,7 +298,6 @@ def classify_mcm(parent, idempotent_matrices, algebra, bound):
 class SyzygyEvidence:
     rows: tuple  # (degree, dim of syzygy, dim of module one lower)
     dims_ok: bool
-    annihilators: tuple
     permutation: tuple
     permutation_ok: bool
     notes: tuple
@@ -393,8 +366,8 @@ def syzygy_shift_evidence(classification, algebra, bound):
         if len(seen) != len(permutation):
             perm_ok = False
             notes.append("annihilator matching is not a permutation")
-    return SyzygyEvidence(tuple(rows), dims_ok, tuple(anns),
-                          tuple(permutation), perm_ok, tuple(notes))
+    return SyzygyEvidence(tuple(rows), dims_ok, tuple(permutation), perm_ok,
+                          tuple(notes))
 
 
 # -- graded Hom and the degree-zero endomorphism table -------------------------

@@ -8,17 +8,20 @@ rows and handed to the elimination through the trusted constructor
 Subspace._span_sparse (linalg.py).  A_n and the levels M_n of a module
 (modules.py) are the same GradedPiece type, and each carries sparse
 generator tables: basis vector times x_l as (index, coefficient) pairs one
-degree up.  One table step (generator_step), one word walk (word_walk)
-and one right action (right_action, the matrix of right multiplication by
-an element as a sparse product of tables) act through those tables for the
-algebra and its modules alike, on the nonzero coordinates only; the public
-products take and return dense coordinate tuples.  The right action gives
-every product matrix the pipeline needs: Hom spaces and End(M)
-(modules.py) and the dual algebra (hypersurface.py).  The classes of all
-g^n words (word_classes, sparse) project tensors onto A_n and give the
-Koszul spaces of the dual (tensors.py).  Everything else rests on them:
-Hilbert data, centrality tests, regularity certificates and the quadratic
-dual.
+degree up.  A_n also carries left tables, x_l times a basis word, one
+generator step each from the left tables a degree lower, since
+x_l.(w'x_k) = (x_l.w').x_k.  Every product in the package is a table step
+(generator_step) or a right action (right_action, the matrix of right
+multiplication by an element as a sparse product of tables), on the
+nonzero coordinates only, for the algebra and its modules alike; the
+public products take and return dense coordinate tuples.  The right action
+gives every product matrix the pipeline needs: Hom spaces and End(M)
+(modules.py) and the dual algebra (hypersurface.py); the left tables give
+the relation translates r.w of a module, the degree-3 centrality test and
+the dual's central system.  The classes of all g^n words (word_classes,
+sparse) give the Koszul spaces of the dual (tensors.py).  Everything else
+rests on them: Hilbert data, centrality tests, regularity certificates and
+the quadratic dual.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 from math import comb
 
 from .errors import RelationDependence
-from .linalg import Matrix, Subspace, add_multiple
+from .linalg import Matrix, Subspace, add_multiple, sparse_row
 
 
 class GradedPiece:
@@ -39,14 +42,16 @@ class GradedPiece:
     and ``free_index`` maps each back to its basis index.
     ``gen_mult[l][i]`` is the class one degree up of basis vector i times
     x_l, as (index, coefficient) pairs with nonzero coefficients; the owner
-    fills it in on first use.  A_n also lists its normal ``words``.  M_n
-    of a module of rank r lies in k^r (x) A_n, since every generator has
-    degree 0 (modules.py): column alpha*dim A_n + k is basis vector k of
-    A_n in the block of generator alpha.
+    fills it in on first use.  A_n also lists its normal ``words`` and
+    keeps its left tables, ``left_mult[l][j]`` the class of x_l times word
+    j, in the same format.  M_n of a module of rank r lies in k^r (x) A_n,
+    since every generator has degree 0 (modules.py): column
+    alpha*dim A_n + k is basis vector k of A_n in the block of generator
+    alpha.
     """
 
     __slots__ = ("rel_space", "total", "free_cols", "free_index", "dim",
-                 "gen_mult", "words")
+                 "gen_mult", "words", "left_mult")
 
     def __init__(self, rel_space):
         pivot_set = set(rel_space.pivots)
@@ -58,6 +63,7 @@ class GradedPiece:
         self.dim = len(self.free_cols)
         self.gen_mult = None
         self.words = None
+        self.left_mult = None
 
     def sparse_class(self, vector):
         """Class of a sparse ambient vector {column: nonzero coefficient},
@@ -76,29 +82,6 @@ def generator_step(table, sparse):
             y = acc.get(k)
             acc[k] = ci * tk if y is None else y + ci * tk
     return tuple((k, acc[k]) for k in sorted(acc) if acc[k])
-
-
-def word_walk(tables, words, n, coords, a_coords, dim, zero):
-    """Class of (element of degree n) * (element with word coordinates).
-
-    Each word with a nonzero coefficient acts letter by letter through the
-    generator tables ``tables(degree)`` on the nonzero coordinates only;
-    the results are summed in a piece of size dim and returned densely.
-    """
-    start = tuple((i, c) for i, c in enumerate(coords) if c)
-    acc = {}
-    for aj, word in zip(a_coords, words):
-        if not aj:
-            continue
-        cur = start
-        level = n
-        for letter in word:
-            cur = generator_step(tables(level)[letter], cur)
-            level += 1
-        for t, c in cur:
-            y = acc.get(t)
-            acc[t] = aj * c if y is None else y + aj * c
-    return dense_class(acc.items(), dim, zero)
 
 
 def right_action(owner, n, terms):
@@ -157,6 +140,19 @@ def dense_class(pairs, dim, zero):
     return tuple(out)
 
 
+def dense_product(owner, algebra, n, coords, k, a_coords):
+    """Dense class of (element of degree n of owner, the algebra or one of
+    its modules) times (element of A_k with coordinates a_coords): the
+    coordinates combine the rows of right_action."""
+    terms = [(w, c) for w, c in zip(algebra.basis_words(k), a_coords) if c]
+    acc = {}
+    if terms:
+        for c, row in zip(coords, right_action(owner, n, terms)):
+            if c:
+                add_multiple(acc, c, row)
+    return dense_class(acc.items(), owner.graded_dim(n + k), owner.field.zero)
+
+
 class QuadraticPresentation:
     """A quadratic algebra given by generator names and relation vectors."""
 
@@ -167,12 +163,10 @@ class QuadraticPresentation:
             raise ValueError("generator names must be distinct")
         g = len(self.generators)
         self.gdim = g
-        rows = [tuple(field.element(c) if not hasattr(c, "field") else c
-                      for c in vec) for vec in relation_vectors]
-        for r in rows:
-            if len(r) != g * g:
-                raise ValueError("relation vectors must live in V (x) V")
-        span = Subspace.span(field, g * g, [list(r) for r in rows])
+        rows = [list(vec) for vec in relation_vectors]
+        if any(len(r) != g * g for r in rows):
+            raise ValueError("relation vectors must live in V (x) V")
+        span = Subspace.span(field, g * g, rows)
         if span.dim != len(rows):
             raise RelationDependence(
                 "relation list is linearly dependent")
@@ -238,6 +232,25 @@ class QuadraticPresentation:
                 for l in range(g))
         return comp.gen_mult
 
+    def left_tables(self, n):
+        """Left tables of A_n: x_l times basis word, classed in A_(n+1).
+
+        A word w'x_k of A_n gives (x_l.w').x_k, one generator step from the
+        left table of A_(n-1); in degree 0, x_l.1 = 1.x_l.
+        """
+        comp = self.component(n)
+        if comp.left_mult is None:
+            if n == 0:
+                comp.left_mult = self.tables(0)
+            else:
+                g = self.gdim
+                below, right = self.left_tables(n - 1), self.tables(n)
+                comp.left_mult = tuple(
+                    tuple(generator_step(right[c % g], below[l][c // g])
+                          for c in comp.free_cols)
+                    for l in range(g))
+        return comp.left_mult
+
     def graded_dim(self, n):
         if n < 0:
             return 0
@@ -253,9 +266,7 @@ class QuadraticPresentation:
 
     def multiply(self, m, a_coords, n, b_coords):
         """Product A_m x A_n -> A_(m+n) on class coordinates."""
-        return word_walk(self.tables, self.basis_words(n), m,
-                         a_coords, b_coords, self.graded_dim(m + n),
-                         self.field.zero)
+        return dense_product(self, self, m, a_coords, n, b_coords)
 
     def word_classes(self, n):
         """Classes in A_n of all g^n words, in lexicographic word order, as
@@ -275,16 +286,6 @@ class QuadraticPresentation:
         self._word_classes = (n, classes)
         return classes
 
-    def project(self, n, vector):
-        """Class in A_n of an ambient tensor vector of V^(x)n."""
-        acc = {}
-        for c, cls in zip(vector, self.word_classes(n)):
-            if c:
-                for k, ck in cls:
-                    y = acc.get(k)
-                    acc[k] = c * ck if y is None else y + c * ck
-        return dense_class(acc.items(), self.graded_dim(n), self.field.zero)
-
     # -- derived structure -------------------------------------------------
 
     def quadratic_dual(self):
@@ -301,21 +302,18 @@ class QuadraticPresentation:
         return self._dual
 
     def is_central_deg2(self, w):
-        """Does w (x) v - v (x) w vanish in A_3 for every generator v?"""
+        """Does w (x) v - v (x) w vanish in A_3 for every generator v?
+
+        The class of w in A_2 times x_l is one step through the table of
+        x_l, and x_l times it one step through the left table of x_l.
+        """
         g = self.gdim
-        w = [self.field.element(c) if not hasattr(c, "field") else c
-             for c in w]
         if len(w) != g * g:
             raise ValueError("central candidate must live in V (x) V")
-        for l in range(g):
-            diff = [self.field.zero] * (g ** 3)
-            for q in range(g * g):
-                if w[q]:
-                    diff[q * g + l] = diff[q * g + l] + w[q]
-                    diff[l * g * g + q] = diff[l * g * g + q] - w[q]
-            if any(c for c in self.project(3, diff)):
-                return False
-        return True
+        cls = self.component(2).sparse_class(sparse_row(self.field, w))
+        right, left = self.tables(2), self.left_tables(2)
+        return all(generator_step(right[l], cls)
+                   == generator_step(left[l], cls) for l in range(g))
 
 
 # -- certificates ------------------------------------------------------------
@@ -354,12 +352,10 @@ def is_regular_deg2(presentation, w, bound):
     For w central this certifies that w acts without torsion up to the bound.
     A dependent w (already a relation) fails at n = 2 instead of raising.
     """
-    field = presentation.field
-    w = [field.element(c) if not hasattr(c, "field") else c for c in w]
     try:
         quotient = QuadraticPresentation(
-            field, presentation.generators,
-            list(presentation.relation_space.basis) + [tuple(w)])
+            presentation.field, presentation.generators,
+            list(presentation.relation_space.basis) + [w])
     except RelationDependence:
         quotient = presentation
     rows = []

@@ -13,7 +13,7 @@ from ncquadric import (AlgebraError, AmbientMismatch, FiniteDimAlgebra,
                        roots_in_field)
 from ncquadric.linalg import add_multiple, sparse_row
 from ncquadric.presentation import parse_file
-from ncquadric.quadratic import dense_class
+from ncquadric.quadratic import dense_class, generator_step
 from ncquadric.tensors import _coords_left, _coords_right
 
 
@@ -254,6 +254,59 @@ def index_word(flat, n, g):
 
 def all_words(n, g):
     return list(product(range(g), repeat=n))
+
+
+def word_walk(owner, n, coords, k, a_coords):
+    """Class of (element of degree n of owner, an algebra or a module) times
+    (element of A_k), the reference for right_action and the left tables.
+
+    Each normal word of A_k with a nonzero coefficient acts letter by
+    letter through the generator tables of the owner's levels it passes,
+    on the nonzero coordinates only, and the results are summed.
+    """
+    algebra = getattr(owner, "algebra", owner)
+    start = tuple((i, c) for i, c in enumerate(coords) if c)
+    acc = {}
+    for aj, word in zip(a_coords, algebra.basis_words(k)):
+        if not aj:
+            continue
+        cur = start
+        for level, letter in enumerate(word, n):
+            cur = generator_step(owner.tables(level)[letter], cur)
+        for t, c in cur:
+            y = acc.get(t)
+            acc[t] = aj * c if y is None else y + aj * c
+    return dense_class(acc.items(), owner.graded_dim(n + k),
+                       owner.field.zero)
+
+
+def project(algebra, n, vector):
+    """Class in A_n of a tensor vector of V^(x)n: each word with a nonzero
+    coefficient walks letter by letter from 1 through the generator
+    tables."""
+    acc = {}
+    for c, word in zip(vector, all_words(n, algebra.gdim)):
+        if c:
+            cls = ((0, algebra.field.one),)
+            for level, letter in enumerate(word):
+                cls = generator_step(algebra.tables(level)[letter], cls)
+            add_multiple(acc, c, dict(cls))
+    return dense_class(acc.items(), algebra.graded_dim(n), algebra.field.zero)
+
+
+def is_central_by_projection(algebra, w):
+    """Does w (x) x_l - x_l (x) w project to zero in A_3 for every l?  The
+    V^(x)3 construction of the degree-3 centrality test."""
+    g = algebra.gdim
+    for l in range(g):
+        diff = [algebra.field.zero] * g ** 3
+        for q, c in enumerate(w):
+            if c:
+                diff[q * g + l] = diff[q * g + l] + c
+                diff[l * g * g + q] = diff[l * g * g + q] - c
+        if any(project(algebra, 3, diff)):
+            return False
+    return True
 
 
 def tensor_coords_right(vector, left, g):

@@ -65,6 +65,16 @@ def test_missing_file(capsys):
     assert err.startswith("error:")
 
 
+def test_non_utf8_file_is_unreadable_input(tmp_path, capsys):
+    bad = tmp_path / "latin1.pres"
+    bad.write_bytes(b"field = Q\nvars = x, y\n# \xff\n")
+    rc, out, err = run(capsys, str(bad))
+    assert rc == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot read {bad}: ")
+    assert "can't decode byte 0xff" in err
+
+
 def test_parse_error_reports_location(tmp_path, capsys):
     bad = tmp_path / "bad.pres"
     bad.write_text("field = Q(i)\nvars = x, y\nrel = x*q\ncentral = x*x\n")

@@ -1,15 +1,15 @@
 """hom_space against the per-unit word walk it replaced.
 
 The reference builds the condition matrix one column at a time: each unit
-vector of the target level is multiplied by the relation coefficients with
-GradedModule.mult_by_element, and the maps are the dense kernel.  The
-sparse construction must give the same basis for every degree from -3 to
-the bound, for every ordered pair of modules.
+vector of the target level is multiplied by the relation coefficients
+with the word walk of tests/helpers.py, and the maps are the dense
+kernel.  The sparse construction must give the same basis for every
+degree from -3 to the bound, for every ordered pair of modules.
 """
 
 import pathlib
 
-from helpers import dense_kernel, gauss, load_context
+from helpers import dense_kernel, gauss, load_context, word_walk
 
 from ncquadric import (GradedModule, ModulePresentation, classify_mcm,
                        end_algebra, free_module, hom_space,
@@ -34,7 +34,7 @@ def reference_hom_space(P, Q, n):
             for j in range(b):
                 unit = tuple(field.one if t == j else field.zero
                              for t in range(b))
-                img = Q.mult_by_element(n, unit, 1, coeffs)
+                img = word_walk(Q, n, unit, 1, coeffs)
                 cols[alpha * b + j] = list(img)
         for p in range(up):
             rows.append([cols[c][p] for c in range(total)])

@@ -7,7 +7,7 @@ import oracle as O
 from conftest import ROOT
 from helpers import (class_coords, flatten_matrix, gauss, idempotent_matrices,
                      load_context, module_graded_dim, normalize_line,
-                     pairwise_preresolution_solution,
+                     pairwise_preresolution_solution, project,
                      reference_idempotent_summand,
                      reference_preresolution_dims, representative,
                      rows_pairs, vec_pairs)
@@ -217,7 +217,7 @@ def word_class(alg, *letters):
     for l in letters:
         q = q * g + l
     vec[q] = alg.field.one
-    return alg.project(len(letters), vec)
+    return project(alg, len(letters), vec)
 
 
 def test_identify_cyclic_rejects_a_two_dimensional_annihilator(golden_ctx):

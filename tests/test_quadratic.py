@@ -3,11 +3,12 @@ from fractions import Fraction
 import pytest
 
 import oracle as O
-from helpers import element_vector, gauss, rows_pairs
+from helpers import element_vector, gauss, project, rows_pairs
 
-from ncquadric import Field, QuadraticPresentation, RelationDependence, \
-    SmallRng, is_regular_deg2, koszul_numeric_check, linear_string, \
-    quantum_polynomial_certificate, tensor2_string
+from ncquadric import Field, FieldMismatch, QuadraticPresentation, \
+    RelationDependence, SmallRng, build_context, is_regular_deg2, \
+    koszul_numeric_check, linear_string, quantum_polynomial_certificate, \
+    tensor2_string
 
 
 @pytest.fixture(scope="module")
@@ -71,7 +72,7 @@ def test_multiplication_associativity(S):
 
 def test_central_element_commutes_in_low_degree(S, w):
     # w * v = v * w for every generator v, checked through multiply
-    wc = S.project(2, w)
+    wc = project(S, 2, w)
     for l in range(3):
         e = [S.field.one if k == l else S.field.zero for k in range(3)]
         assert S.multiply(2, wc, 1, e) == S.multiply(1, e, 2, wc)
@@ -174,6 +175,44 @@ def test_display_strings(Qi):
 def test_project_and_element_vector(S):
     # projecting the full tensor square of the central element recovers
     # its class coordinates, and element_vector round-trips them
-    w_class = S.project(2, [gauss(S.field, c) for c in W_ROW])
+    w_class = project(S, 2, [gauss(S.field, c) for c in W_ROW])
     vec = element_vector(S, 2, w_class)
-    assert S.project(2, vec) == w_class
+    assert project(S, 2, vec) == w_class
+
+
+# -- scalars from outside: the four entry points coerce as Subspace.span does
+
+RATIONALS = Field.rationals()
+PLANE = QuadraticPresentation(RATIONALS, ("x", "y"), [[0, 1, -1, 0]])
+# each entry point: (call on a degree-2 row, what the call gives to compare)
+ENTRY_POINTS = {
+    "presentation": (lambda w: QuadraticPresentation(RATIONALS, ("x", "y"),
+                                                     [w]),
+                     lambda out: out.relation_space),
+    "centrality": (PLANE.is_central_deg2, lambda out: out),
+    "regularity": (lambda w: is_regular_deg2(PLANE, w, 5),
+                   lambda out: out.rows),
+    "context": (lambda w: build_context(PLANE, w, bound=5),
+                lambda out: out.quotient.relation_space),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_accept_ints_and_fractions(name):
+    call, read = ENTRY_POINTS[name]
+    elements = [RATIONALS.from_rational(c) for c in (2, 0, 0, 1)]
+    assert read(call([2, 0, 0, Fraction(1)])) == read(call(elements))
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_reject_another_field(name):
+    call, _ = ENTRY_POINTS[name]
+    with pytest.raises(FieldMismatch):
+        call([Field.gaussian().one, 0, 0, 1])
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_entry_points_reject_a_wrong_length(name):
+    call, _ = ENTRY_POINTS[name]
+    with pytest.raises(ValueError):
+        call([1, 0, 1])

@@ -29,7 +29,8 @@ def test_input_reports_match_the_pinned_digests():
     # degree 6, seeds 0 and 1, among them inputs/comm3_rational.pres, whose
     # End(M) is a division algebra and whose blocks read "unavailable";
     # bench/corpus/comm4.pres in full at degree 6,
-    # seed 0, the one run that takes the rank-2 summand path;
+    # seeds 0 and 1, the runs that take the rank-2 summand path, the only
+    # ones whose summand relations span two generator blocks;
     # bench/corpus/skew3.pres at degree 12, seed 0, the deep Hom table over
     # an extension field; inputs/quadric3.pres at degree 12, seed 0, the
     # other input of the g3-deep bench workload, with a 5 x 5 Hom table
@@ -49,7 +50,7 @@ def test_input_reports_match_the_pinned_digests():
     pinned = (ROOT / "tests" / "report_digests.txt").read_text().splitlines()
     runs = [(f"inputs/{path.name}", "6", ["0", "1"], [])
             for path in sorted((ROOT / "inputs").glob("*.pres"))]
-    runs.append(("bench/corpus/comm4.pres", "6", ["0"], []))
+    runs.append(("bench/corpus/comm4.pres", "6", ["0", "1"], []))
     runs.append(("bench/corpus/skew3.pres", "12", ["0"], []))
     runs.append(("inputs/quadric3.pres", "12", ["0"], []))
     runs.append(("bench/corpus/skew4.pres", "6", ["0"], []))
