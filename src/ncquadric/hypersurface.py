@@ -9,7 +9,7 @@ hom_space(M, M, 0), decides whether A is an isolated singularity, and the
 localized quadratic dual gives an independent second construction of the
 same algebra.  Every product in both routes is read off the sparse
 generator tables: a matrix through quadratic.right_action, and the dual's
-central system one step through its tables and its left tables.
+central elements of degree 2 through both its tables (central_deg2).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from .errors import (NoStableCentral, NotCentral, NotRegularCertificate,
                      RelationDependence, UnsupportedDimension)
 from .findim import FiniteDimAlgebra
-from .linalg import Matrix, add_multiple, column_system
+from .linalg import Matrix, add_multiple
 from .modules import GradedModule, ModulePresentation, end_algebra_of
 from .quadratic import QuadraticPresentation, is_regular_deg2, right_action
 from .tensors import KOSZUL_DUAL, koszul_space, koszul_transition
@@ -141,19 +141,8 @@ def stable_dual_algebra(ctx):
         return right_action(dual, n, [(w, c) for w, c in
                                       zip(dual.basis_words(k), coords) if c])
 
-    # column j of the central system: b_j x_l - x_l b_j, keyed (l, position),
-    # read off the tables and the left tables of the dual's degree 2
-    right, left = dual.tables(2), dual.left_tables(2)
-    cols = []
-    for j in range(dual.graded_dim(2)):
-        col = {}
-        for l in range(dual.gdim):
-            diff = dict(right[l][j])
-            add_multiple(diff, -one, dict(left[l][j]))
-            col.update(((l, pos), c) for pos, c in diff.items())
-        cols.append(col)
-    central = Matrix._from_sparse(field, column_system(field, cols),
-                                  len(cols)).rows
+    central = Matrix._from_sparse(field, dual.central_deg2(),
+                                  dual.graded_dim(2)).rows
     candidates = [tuple(r) for r in central]
     for i in range(len(central)):
         for j in range(i + 1, len(central)):

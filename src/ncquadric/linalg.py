@@ -198,16 +198,6 @@ class Matrix:
                 cols[j][i] = x
         return Matrix._from_sparse(self.field, cols, self.nrows)
 
-    def trace(self):
-        if self.nrows != self.ncols:
-            raise ValueError("trace of a non-square matrix")
-        acc = self.field.zero
-        for i, r in enumerate(self.sparse):
-            x = r.get(i)
-            if x is not None:
-                acc = acc + x
-        return acc
-
     def _combine(self, other, f):
         self._check_same_shape(other)
         out = []

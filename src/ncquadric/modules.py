@@ -14,13 +14,14 @@ Hom_n(P, Q) = Hom_0(P, Q(n)).  So the first syzygy of a linear module N,
 generated in degree 1, is the linear Omega(N)(1), and Omega(N) = N'(-1)
 asks for degree-0 maps between linear modules.
 
-A relation block sum_l c_l x_l times a normal word w of A_(n-1) is
-sum_l c_l (x_l.w), a combination of rows of the algebra's left tables
-(QuadraticPresentation.left_tables), so a module keeps no state per
-relation; the translates go to the elimination as sparse rows.  M_n is a
-GradedPiece, the piece type of A_n, with sparse generator tables in the
-same format, and the action of the algebra runs through the table step
-and right action that the algebra itself uses (quadratic.py).  On top of
+M_n is built by the algebra's own graded cokernel, quadratic.linear_level,
+which builds A_n too, since A_(n+1) is degree n of the augmentation module:
+a relation block sum_l c_l x_l times a normal word w of A_(n-1) is
+sum_l c_l (x_l.w), a combination of rows of the algebra's left tables, so
+a module keeps no state per relation.  M_n is a GradedPiece, the piece
+type of A_n, with generator tables from the same block routine
+(quadratic.block_tables), and the action of the algebra runs through the
+table step and right action that the algebra itself uses.  On top of
 that sit the operations the hypersurface pipeline needs: graded Hom
 spaces, built once as sparse right_action rows per unknown (_hom_system)
 and read two ways, the maps as the kernel of their transpose (hom_space)
@@ -49,8 +50,8 @@ from dataclasses import dataclass, field as dataclass_field
 from .errors import AdditivityViolated, AlgebraError
 from .findim import FiniteDimAlgebra
 from .linalg import Matrix, Subspace, add_multiple, column_system, sparse_row
-from .quadratic import (GradedPiece, dense_product, generator_step,
-                        right_action)
+from .quadratic import (block_tables, dense_product, generator_step,
+                        linear_level, relation_blocks, right_action)
 
 
 @dataclass(frozen=True)
@@ -68,40 +69,21 @@ class GradedModule:
         self.presentation = presentation
         self.field = algebra.field
         self._levels = {}
-        self._blocks = None  # relation blocks, coerced once
         for vec in presentation.relations:
             if len(vec) != presentation.rank * algebra.gdim:
                 raise ValueError("relation row has the wrong length")
+        # the relation blocks, coerced once: the rows of the levels and the
+        # source of a Hom system
+        self._blocks = relation_blocks(algebra, presentation.rank,
+                                       presentation.relations)
 
     def level(self, n):
-        """M_n: the relation translates of degree n and their cokernel.
-
-        Column alpha*dim A_n + k is basis vector k of A_n in the block of
-        generator alpha.  The row of relation r at word w_j of A_(n-1) is
-        r.w_j: in block alpha, sum_l c_l (x_l.w_j) for the coefficients c_l
-        of the block (_source_blocks), read off the algebra's left tables
-        of degree n-1.  Rows go to the elimination in relation order, then
-        word order.
-        """
+        """M_n: the cokernel of the relation translates of degree n in
+        k^rank (x) A_n (quadratic.linear_level, which builds A_n too)."""
         lvl = self._levels.get(n)
-        if lvl is not None:
-            return lvl
-        size = self.algebra.graded_dim(n)
-        vectors = []
-        if n >= 1 and self.presentation.relations:
-            # by_word[j][l] is x_l.w_j; degree-1 word (l,) is basis vector l
-            by_word = list(zip(*self.algebra.left_tables(n - 1)))
-            for blocks in self._source_blocks():
-                letters = [(alpha * size, [(w[0], c) for w, c in terms])
-                           for alpha, terms in blocks]
-                for products in by_word:
-                    vectors.append({offset + k: c
-                                    for offset, coeffs in letters
-                                    for k, c in generator_step(products,
-                                                               coeffs)})
-        lvl = GradedPiece(Subspace._span_sparse(
-            self.field, self.presentation.rank * size, vectors))
-        self._levels[n] = lvl
+        if lvl is None:
+            lvl = self._levels[n] = linear_level(
+                self.algebra, self.presentation.rank, self._blocks, n)
         return lvl
 
     def drop_levels(self):
@@ -115,51 +97,15 @@ class GradedModule:
     def hilbert(self, bound):
         return [self.graded_dim(n) for n in range(bound + 1)]
 
-    def _source_blocks(self):
-        """The relation blocks, coerced once: the source of a Hom system
-        and the rows of the levels.
-
-        One tuple per relation of (alpha, terms) for each generator alpha
-        whose block is nonzero: the (degree-1 word, coefficient) pairs of
-        the block, as right_action takes them.
-        """
-        if self._blocks is None:
-            g = self.algebra.gdim
-            words = self.algebra.basis_words(1)
-            out = []
-            for vec in self.presentation.relations:
-                blocks = []
-                for alpha in range(self.presentation.rank):
-                    coeffs = sparse_row(self.field,
-                                        vec[alpha * g:(alpha + 1) * g])
-                    if coeffs:
-                        blocks.append((alpha, [(words[l], c)
-                                               for l, c in coeffs.items()]))
-                out.append(tuple(blocks))
-            self._blocks = tuple(out)
-        return self._blocks
-
     def tables(self, n):
         """Generator tables of M_n: basis vector times x_l, classed in
-        M_(n+1).  A basis vector sits in one generator block, so its
-        product is a row of the algebra's table placed in that block; the
-        free module A reads the algebra's own tables."""
+        M_(n+1) (quadratic.block_tables); the free module A reads the
+        algebra's own tables."""
         lvl = self.level(n)
-        if lvl.gen_mult is None and self.presentation == FREE:
-            lvl.gen_mult = self.algebra.tables(n)
-        elif lvl.gen_mult is None:
-            nxt = self.level(n + 1)
-            alg = self.algebra
-            size, up = alg.graded_dim(n), alg.graded_dim(n + 1)
-            tables = []
-            for l in range(alg.gdim):
-                rows = []
-                for pos in lvl.free_cols:
-                    alpha, k = divmod(pos, size)
-                    rows.append(nxt.sparse_class(
-                        {alpha * up + t: c for t, c in alg.tables(n)[l][k]}))
-                tables.append(tuple(rows))
-            lvl.gen_mult = tuple(tables)
+        if lvl.gen_mult is None:
+            lvl.gen_mult = (self.algebra.tables(n) if self.presentation == FREE
+                            else block_tables(self.algebra, n, lvl,
+                                              self.level(n + 1)))
         return lvl.gen_mult
 
     def mult_by_element(self, n, coords, k, a_coords):
@@ -383,7 +329,8 @@ def _hom_system(P, Q, n):
     quadratic.right_action, and row u holds what unknown u contributes:
     one column block per relation, one column per basis vector of
     Q_(n+1).  The maps are the kernel of the transpose.  The a_alpha come
-    from P's relation blocks (_source_blocks), built once per module, and
+    from P's relation blocks (quadratic.relation_blocks), built once per
+    module, and
     the rows of the first column block are the action rows themselves.
     """
     if Q.algebra is not P.algebra:
@@ -392,7 +339,7 @@ def _hom_system(P, Q, n):
     rows = [{} for _ in range(P.presentation.rank * b)]
     up = Q.graded_dim(n + 1)
     col = 0
-    for blocks in P._source_blocks():
+    for blocks in P._blocks:
         for alpha, terms in blocks:
             action = right_action(Q, n, terms)
             if not col:

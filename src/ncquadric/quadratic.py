@@ -1,27 +1,30 @@
 """Quadratic algebras T(V)/(R) with exact graded arithmetic.
 
-A presentation stores the relation subspace R inside V (x) V.  Graded
-components are built degree by degree: A_n is the cokernel of the span of
-the translates w.r inside A_(n-1) (x) V, which matches striking the leading
-words of the degree-n ideal component.  The translates are built as sparse
-rows and handed to the elimination through the trusted constructor
-Subspace._span_sparse (linalg.py).  A_n and the levels M_n of a module
-(modules.py) are the same GradedPiece type, and each carries sparse
-generator tables: basis vector times x_l as (index, coefficient) pairs one
-degree up.  A_n also carries left tables, x_l times a basis word, one
-generator step each from the left tables a degree lower, since
-x_l.(w'x_k) = (x_l.w').x_k.  Every product in the package is a table step
+A presentation stores the relation subspace R inside V (x) V.  One graded
+cokernel builds the algebra and its linear modules (modules.py) alike:
+degree n of a linear module on r generators of degree 0 is the cokernel in
+k^r (x) A_n of its relation translates r.w (linear_level), and A_(n+1) is
+degree n of the augmentation module V (x) A / R.A, column
+alpha*dim A_n + k the word x_alpha.w_k.  Words of one length in lex order
+are compatible with multiplication on both sides, and the elimination
+takes the leftmost column as pivot, so the basis words of A_n are the
+standard monomials of the degree-n ideal.  The translates go to the
+elimination as sparse rows through Subspace._span_sparse (linalg.py).  Each
+piece, a GradedPiece, carries sparse generator tables, basis vector times
+x_l one degree up as (index, coefficient) pairs, all built by one block
+routine (block_tables); A_n also carries left tables, x_l times a basis
+word, the class of one column of A_(n+1).  The left tables give the
+relation translates; every other product is a table step
 (generator_step) or a right action (right_action, the matrix of right
 multiplication by an element as a sparse product of tables), on the
-nonzero coordinates only, for the algebra and its modules alike; the
-public products take and return dense coordinate tuples.  The right action
-gives every product matrix the pipeline needs: Hom spaces and End(M)
-(modules.py) and the dual algebra (hypersurface.py); the left tables give
-the relation translates r.w of a module, the degree-3 centrality test and
-the dual's central system.  The classes of all g^n words (word_classes,
-sparse) give the Koszul spaces of the dual (tensors.py).  Everything else
-rests on them: Hilbert data, centrality tests, regularity certificates and
-the quadratic dual.
+nonzero coordinates only; the public products take and return dense
+coordinate tuples.  The right action gives every product matrix the
+pipeline needs: Hom spaces and End(M) (modules.py) and the dual algebra
+(hypersurface.py); both tables of A_2 give its central elements
+(central_deg2).  The classes of all g^n words (word_classes, sparse) give
+the Koszul spaces of the dual (tensors.py).  Everything else rests on them:
+Hilbert data, centrality tests, regularity certificates and the quadratic
+dual.
 """
 
 from __future__ import annotations
@@ -30,24 +33,25 @@ from dataclasses import dataclass, field as dataclass_field
 from math import comb
 
 from .errors import RelationDependence
-from .linalg import Matrix, Subspace, add_multiple, sparse_row
+from .linalg import (Matrix, Subspace, add_multiple, column_system,
+                     sparse_row)
 
 
 class GradedPiece:
-    """One graded piece, A_n of an algebra or M_n of a module.
+    """One graded piece: M_n of a linear module, or A_n (n >= 1) as a
+    level of the augmentation module (linear_level).
 
     The piece is the cokernel of ``rel_space``, the span of the relation
-    translates inside an ambient coordinate space of size ``total``; the
-    columns off its pivots, ``free_cols``, index the basis of the piece,
-    and ``free_index`` maps each back to its basis index.
-    ``gen_mult[l][i]`` is the class one degree up of basis vector i times
-    x_l, as (index, coefficient) pairs with nonzero coefficients; the owner
-    fills it in on first use.  A_n also lists its normal ``words`` and
-    keeps its left tables, ``left_mult[l][j]`` the class of x_l times word
-    j, in the same format.  M_n of a module of rank r lies in k^r (x) A_n,
-    since every generator has degree 0 (modules.py): column
-    alpha*dim A_n + k is basis vector k of A_n in the block of generator
-    alpha.
+    translates inside an ambient coordinate space of size ``total``,
+    k^r (x) A_n for r generators, column alpha*dim A_n + k basis vector k
+    of A_n in the block of generator alpha; the columns off its pivots,
+    ``free_cols``, index the basis of the piece, and ``free_index`` maps
+    each back to its basis index.  ``gen_mult[l][i]`` is the class one
+    degree up of basis vector i times x_l, as (index, coefficient) pairs
+    with nonzero coefficients; the owner fills it in on first use
+    (block_tables).  A_n also lists its normal ``words`` and keeps its left
+    tables, ``left_mult[l][j]`` the class of x_l times word j, in the same
+    format.
     """
 
     __slots__ = ("rel_space", "total", "free_cols", "free_index", "dim",
@@ -71,6 +75,64 @@ class GradedPiece:
         self.rel_space.reduce_sparse(vector)
         index = self.free_index
         return tuple((index[c], vector[c]) for c in sorted(vector))
+
+
+def relation_blocks(algebra, rank, relations):
+    """Degree-1 relation rows over k^rank (x) V, entry alpha*g + l at
+    g_alpha x_l, coerced once: per row, (alpha, terms) for each generator
+    alpha whose block is nonzero, terms the (degree-1 word, coefficient)
+    pairs of the block, as right_action takes them."""
+    g = algebra.gdim
+    out = []
+    for vec in relations:
+        blocks = []
+        for alpha in range(rank):
+            coeffs = sparse_row(algebra.field, vec[alpha * g:(alpha + 1) * g])
+            if coeffs:
+                blocks.append((alpha, [((l,), c) for l, c in coeffs.items()]))
+        out.append(tuple(blocks))
+    return tuple(out)
+
+
+def linear_level(algebra, rank, blocks, n):
+    """Degree n of the linear module on rank generators of degree 0 whose
+    relations are blocks (relation_blocks): the cokernel in k^rank (x) A_n
+    of the translates r.w_j, w_j a basis word of A_(n-1).
+
+    Column alpha*dim A_n + k is basis vector k of A_n in block alpha.  In
+    block alpha, r.w_j is sum_l c_l (x_l.w_j) over the coefficients c_l of
+    the block, read off the algebra's left tables of degree n-1.  Rows go
+    to the elimination in relation order, then word order.
+    """
+    size = algebra.graded_dim(n)
+    vectors = []
+    if n >= 1 and blocks:
+        # by_word[j][l] is x_l.w_j
+        by_word = list(zip(*algebra.left_tables(n - 1)))
+        for rel in blocks:
+            for products in by_word:
+                vec = {}
+                for alpha, terms in rel:
+                    for (l,), c in terms:
+                        for k, t in products[l]:
+                            q = alpha * size + k
+                            y = vec.get(q)
+                            vec[q] = c * t if y is None else y + c * t
+                vectors.append({q: x for q, x in vec.items() if x})
+    return GradedPiece(Subspace._span_sparse(algebra.field, rank * size,
+                                             vectors))
+
+
+def block_tables(algebra, n, piece, up):
+    """Generator tables of a piece of k^r (x) A_n, classed in the piece up
+    of k^r (x) A_(n+1): the basis vector at column alpha*dim A_n + k times
+    x_l is row k of the algebra's table of x_l placed in block alpha."""
+    size, step = algebra.graded_dim(n), algebra.graded_dim(n + 1)
+    places = [divmod(pos, size) for pos in piece.free_cols]
+    return tuple(tuple(up.sparse_class({alpha * step + t: c
+                                        for t, c in table[k]})
+                       for alpha, k in places)
+                 for table in algebra.tables(n))
 
 
 def generator_step(table, sparse):
@@ -171,6 +233,8 @@ class QuadraticPresentation:
             raise RelationDependence(
                 "relation list is linearly dependent")
         self.relation_space = span
+        # the relation rows as the augmentation module's blocks
+        self._blocks = relation_blocks(self, g, span.basis)
         self._components = {}
         self._word_classes = (0, [((0, field.one),)])
         self._dual = None
@@ -187,68 +251,39 @@ class QuadraticPresentation:
         return comp
 
     def _build_component(self, n):
-        """A_n as A_(n-1) (x) V modulo the translates w.r, r a relation and
-        w a normal word of A_(n-2), read off the tables of A_(n-2)."""
-        field = self.field
+        """A_0 = k, and A_n for n >= 1 degree n-1 of the augmentation
+        module: column alpha*dim A_(n-1) + k is the word x_alpha.w_k."""
         if n == 0:
-            comp = GradedPiece(Subspace.zero(field, 1))
+            comp = GradedPiece(Subspace.zero(self.field, 1))
             comp.words = ((),)
             return comp
-        g = self.gdim
-        prev = self.component(n - 1)
-        ambient = prev.dim * g
-        if n == 1 or prev.dim == 0:
-            rel_space = Subspace.zero(field, ambient)
-        else:
-            below = self.tables(n - 2)
-            rel_rows = [[(divmod(q, g), c) for q, c in r.items()]
-                        for r in self.relation_space.sparse]
-            vectors = []
-            for j in range(self.graded_dim(n - 2)):
-                for r in rel_rows:
-                    vec = {}
-                    for (k, l), c in r:
-                        for i, ci in below[k][j]:
-                            q = i * g + l
-                            y = vec.get(q)
-                            vec[q] = c * ci if y is None else y + c * ci
-                    vectors.append({q: x for q, x in vec.items() if x})
-            rel_space = Subspace._span_sparse(field, ambient, vectors)
-        comp = GradedPiece(rel_space)
-        comp.words = tuple(prev.words[c // g] + (c % g,)
+        comp = linear_level(self, self.gdim, self._blocks, n - 1)
+        size, prev = self.graded_dim(n - 1), self.basis_words(n - 1)
+        comp.words = tuple((c // size,) + prev[c % size]
                            for c in comp.free_cols)
         return comp
 
     def tables(self, n):
-        """Generator tables of A_n: basis word times x_l, classed in A_(n+1)."""
+        """Generator tables of A_n: basis word times x_l, classed in A_(n+1).
+        A_n (n >= 1) is a level of the augmentation module, so its tables
+        are the module's (block_tables); in degree 0, 1.x_l = x_l.1."""
         comp = self.component(n)
         if comp.gen_mult is None:
-            nxt = self.component(n + 1)
-            one = self.field.one
-            g = self.gdim
-            comp.gen_mult = tuple(
-                tuple(nxt.sparse_class({i * g + l: one})
-                      for i in range(comp.dim))
-                for l in range(g))
+            comp.gen_mult = (block_tables(self, n - 1, comp,
+                                          self.component(n + 1)) if n
+                             else self.left_tables(0))
         return comp.gen_mult
 
     def left_tables(self, n):
-        """Left tables of A_n: x_l times basis word, classed in A_(n+1).
-
-        A word w'x_k of A_n gives (x_l.w').x_k, one generator step from the
-        left table of A_(n-1); in degree 0, x_l.1 = 1.x_l.
-        """
+        """Left tables of A_n: x_l times basis word j, the class of column
+        l*dim A_n + j of A_(n+1)."""
         comp = self.component(n)
         if comp.left_mult is None:
-            if n == 0:
-                comp.left_mult = self.tables(0)
-            else:
-                g = self.gdim
-                below, right = self.left_tables(n - 1), self.tables(n)
-                comp.left_mult = tuple(
-                    tuple(generator_step(right[c % g], below[l][c // g])
-                          for c in comp.free_cols)
-                    for l in range(g))
+            nxt, one = self.component(n + 1), self.field.one
+            comp.left_mult = tuple(
+                tuple(nxt.sparse_class({l * comp.dim + j: one})
+                      for j in range(comp.dim))
+                for l in range(self.gdim))
         return comp.left_mult
 
     def graded_dim(self, n):
@@ -301,19 +336,32 @@ class QuadraticPresentation:
             self._dual = QuadraticPresentation(self.field, names, perp.rows)
         return self._dual
 
+    def central_deg2(self):
+        """Central elements of degree 2: the kernel rows, sparse over the
+        basis of A_2, of b_j -> (b_j.x_l - x_l.b_j)_l, read off the tables
+        and the left tables of A_2; column j is keyed (l, position)."""
+        one = self.field.one
+        right, left = self.tables(2), self.left_tables(2)
+        cols = []
+        for j in range(self.graded_dim(2)):
+            col = {}
+            for l in range(self.gdim):
+                diff = dict(right[l][j])
+                add_multiple(diff, -one, dict(left[l][j]))
+                col.update(((l, pos), c) for pos, c in diff.items())
+            cols.append(col)
+        return column_system(self.field, cols)
+
     def is_central_deg2(self, w):
         """Does w (x) v - v (x) w vanish in A_3 for every generator v?
-
-        The class of w in A_2 times x_l is one step through the table of
-        x_l, and x_l times it one step through the left table of x_l.
-        """
-        g = self.gdim
-        if len(w) != g * g:
+        That is, does the class of w in A_2 lie in the span of
+        central_deg2?"""
+        if len(w) != self.gdim ** 2:
             raise ValueError("central candidate must live in V (x) V")
-        cls = self.component(2).sparse_class(sparse_row(self.field, w))
-        right, left = self.tables(2), self.left_tables(2)
-        return all(generator_step(right[l], cls)
-                   == generator_step(left[l], cls) for l in range(g))
+        cls = dict(self.component(2).sparse_class(sparse_row(self.field, w)))
+        Subspace._span_sparse(self.field, self.graded_dim(2),
+                              self.central_deg2()).reduce_sparse(cls)
+        return not cls
 
 
 # -- certificates ------------------------------------------------------------

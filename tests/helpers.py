@@ -410,7 +410,12 @@ def trace_form_radical(alg):
     """Kernel of the Gram matrix Tr(L_i L_j) of the left regular
     representation, built from products of left multiplication matrices."""
     lm = [left_mult_matrix(alg, alg.basis_vector(i)) for i in range(alg.dim)]
-    gram = Matrix(alg.field, [[(a * b).trace() for b in lm] for a in lm])
+
+    def trace(mat):
+        return sum((mat.entry(i, i) for i in range(mat.nrows)),
+                   alg.field.zero)
+
+    gram = Matrix(alg.field, [[trace(a * b) for b in lm] for a in lm])
     return Subspace.span(alg.field, alg.dim, gram.kernel().rows)
 
 

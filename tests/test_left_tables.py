@@ -1,12 +1,14 @@
 """The left tables of an algebra and the products read off them.
 
 QuadraticPresentation.left_tables(n)[l][j] is the class of x_l times basis
-word j of A_n, built one generator step from the left table a degree
-lower.  The word walk of tests/helpers.py is the independent reference:
-x_l acts first, then each letter of the word through the right tables.
-The check runs on the quotient A and its dual A^! of every input and
-corpus file, through degree 6.  is_central_deg2 reads the left and right
-tables of A_2; the V^(x)3 projection it replaced is the reference there.
+word j of A_n: A_(n+1) is degree n of the augmentation module, so x_l.w_j
+is its column l*dim A_n + j.  The word walk of tests/helpers.py is the
+independent reference: x_l acts first, then each letter of the word
+through the right tables.  The check runs on the quotient A and its dual
+A^! of every input and corpus file, through degree 6.  is_central_deg2
+asks whether the class of w in A_2 lies in the span of central_deg2, read
+off the left and right tables of A_2; the V^(x)3 projection it replaced is
+the reference there.
 """
 
 import pathlib
